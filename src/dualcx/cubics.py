@@ -945,31 +945,34 @@ def transport_cubic(cubic: NodalCubic, a: AffineMapPlane) -> NodalCubic:
     )
 
 
-def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, b2: complex, drift_tol: float) -> Construct:
-    inters = intersect(p2, q2)
+def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, b2: complex, drift_tol: float, tol: Tolerances) -> Construct:
+    inters = intersect(p2, q2, tol)
     n_old = c.n_point
     dists = sorted((float(np.linalg.norm(p2.gamma.affine(t) - n_old)), k) for k, (t, _) in enumerate(inters))
     best, kbest = dists[0]
     if best > 1e-6 * max(1.0, float(np.linalg.norm(n_old))) or dists[1][0] < 10 * best:
         raise GuardError("intersection-match", "could not re-identify the chosen intersection after the move")
-    out = make_construct(p2, q2, kbest, b2, seed=c.seed, precomputed_intersections=inters)
+    out = make_construct(p2, q2, kbest, b2, tol, seed=c.seed, precomputed_intersections=inters)
     if chordal(out.n_p, c.n_p) > drift_tol or chordal(out.n_q, c.n_q) > drift_tol:
         raise GuardError("marks-drift", "n_p or n_q drifted along an affine family")
     return out
 
 
-def affine_family(c: Construct, direction: AffineFamilyDirection, eps: complex, drift_tol: float = 1e-8) -> Construct:
+def affine_family(
+    c: Construct, direction: AffineFamilyDirection, eps: complex, drift_tol: float = 1e-8, tol: Tolerances = DEFAULT_TOL
+) -> Construct:
     """Member of the affine family at parameter eps.
 
     Moves one cubic (and b with it when P moves), re-derives intersections
     and re-matches the chosen one by nearest image; n_p and n_q are
     asserted unchanged up to drift_tol, since the identification point is
-    fixed and all special parameters transport with the curve.
+    fixed and all special parameters transport with the curve.  Every
+    root solve and guard of the rebuild runs under ``tol``.
     """
     a = direction.map_at(eps)
     if direction.side == "Q":
-        return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.b_param, drift_tol)
-    return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.b_param, drift_tol)
+        return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.b_param, drift_tol, tol)
+    return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.b_param, drift_tol, tol)
 
 
 def transport_construct(c: Construct, a: AffineMapPlane) -> Construct:

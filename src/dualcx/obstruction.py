@@ -70,7 +70,6 @@ from .numerics import (
     is_inf,
 )
 from .cubics import (
-    AffineFamilyDirection,
     Construct,
     NodalCubic,
     affine_direction,
@@ -212,8 +211,6 @@ class SBGValues:
     om_p12: complex
     om_q21: complex
     om_q3_p3: complex
-    a_factor: complex      # 1 / Om(vQ(q1), vQ(q2)) style inverse, finite variant
-    b_factor: complex
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +273,6 @@ def closed_form_data(c: Construct) -> tuple[JPoint, SBGValues, GluingTriple]:
         om_p12=pr["om_p12"],
         om_q21=pr["om_q21"],
         om_q3_p3=pr["om_q3_p3"],
-        a_factor=1.0 / (-pr["om_q21"] / f_p_qn),
-        b_factor=1.0 / (pr["om_p12"] / f_q_pn),
     )
     return JPoint.from_triple(triple), sbg, triple
 
@@ -435,22 +430,12 @@ def _eval_h(factors: list[tuple[complex, int]], t: complex) -> complex:
     return out
 
 
-def _scale_fn(c: Construct, h_factors, t: complex) -> complex:
-    """Pointwise value of R(t) = s s_b g h / (fQ|_P  phi^* fP|_Q)."""
-    tau = c.p.tau(t)
-    s_val = vanishing_scale(tau, c.n_p)
-    sb_val = (tau - 1.0) / (tau - c.tau_b)
-    g_val = (tau - c.n_p) / (tau - 1.0) ** 2
-    pt_p = c.p.gamma.affine(t)
-    fq = c.q.f.affine(complex(pt_p[0]), complex(pt_p[1]))
-    s_param = c.phi(t)
-    pt_q = c.q.gamma.affine(s_param)
-    fp = c.p.f.affine(complex(pt_q[0]), complex(pt_q[1]))
-    return s_val * sb_val * g_val * _eval_h(h_factors, t) / (fq * fp)
-
-
 def _ratio_fn(c: Construct, h_factors, t: complex) -> complex:
-    """R(t) / s(tau(t)): the correction factor, regular at the marks."""
+    """R(t) / s(tau(t)): the correction factor, regular at the marks.
+
+    R(t) = s s_b g h / (fQ|_P  phi^* fP|_Q) is the section scale itself,
+    vanishing_scale(tau(t), n_p) times this factor.
+    """
     tau = c.p.tau(t)
     sb_val = (tau - 1.0) / (tau - c.tau_b)
     g_val = (tau - c.n_p) / (tau - 1.0) ** 2
@@ -518,7 +503,9 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     for i, mk in enumerate(marks):
         dmin = min((abs(mk - z) for z in all_pts if abs(mk - z) > 1e-9), default=1.0)
         radius = max(1e-8, min(0.05, dmin / 30.0))
-        orders.append(_local_order(lambda z: _scale_fn(c, h_factors, z), mk, radius))
+        orders.append(
+            _local_order(lambda z: vanishing_scale(c.p.tau(z), c.n_p) * _ratio_fn(c, h_factors, z), mk, radius)
+        )
         r_val = _circle_mean(lambda z: _ratio_fn(c, h_factors, z), mk, radius)
         values.append(rows.values[i] * r_val)
     if tuple(orders) != (1, 1, 1):
@@ -571,36 +558,132 @@ def consistency_check(constructs: list[Construct], tol: Tolerances = DEFAULT_TOL
     return ConsistencyReport(deviation, tuple(ratios), base.n_p, base.n_q)
 
 
+# Rejected moves one seeded family may draw before it gives up.  Families
+# of five on seeds 0-79 and 100-109 reject at most two; a base construct
+# whose moves are all rejected would otherwise be retried forever.
+MAX_REJECTED_MOVES = 40
+
+
 def seeded_family(seed: int, size: int, tol: Tolerances = DEFAULT_TOL) -> list[Construct]:
-    """A fixed-(n_p, n_q) family: random small moves on both sides."""
+    """A fixed-(n_p, n_q) family: random small moves on both sides.
+
+    Raises GuardError("sampling-exhausted") once MAX_REJECTED_MOVES moves
+    have been rejected by the rebuild guards.
+    """
     base = random_construct(seed, tol)
     rng = np.random.default_rng(seed + 777)
     dir_p = affine_direction(base, "P")
     dir_q = affine_direction(base, "Q")
     out = [base]
+    rejected = 0
     while len(out) < size:
         ep = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
         eq = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
         try:
-            member = affine_family(affine_family(base, dir_p, ep), dir_q, eq)
-        except GuardError:
+            member = affine_family(affine_family(base, dir_p, ep, tol=tol), dir_q, eq, tol=tol)
+        except GuardError as exc:
+            rejected += 1
+            if rejected >= MAX_REJECTED_MOVES:
+                raise GuardError(
+                    "sampling-exhausted",
+                    f"{rejected} family moves rejected (seed {seed}, last: {exc.reason})",
+                ) from exc
             continue
         out.append(member)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Jacobian rank and the surjectivity scan
+# the class map along the affine families; Jacobian rank and the scan
 # ---------------------------------------------------------------------------
 
 
-def _moved_jpoint(c: Construct, dir_p: AffineFamilyDirection, dir_q: AffineFamilyDirection, eps_p: complex, eps_q: complex) -> JPoint:
+class FamilyClassMap:
+    """The closed-form class along the two affine families, explicitly.
+
+    x = (Re eps_p, Im eps_p, Re eps_q, Im eps_q) moves P by A_p and Q by
+    A_q, the maps of ``affine_direction(c, side).map_at``.  Both are
+    volume preserving and fix the chosen intersection, so the pairings,
+    n_p, n_q and tau_b do not change; the moved equations are f o A^-1
+    and the moved nodes A pN, A qN.  The class offset is therefore the
+    log of
+
+        g21 ratio = f_P(A_p^-1 A_q qN) / f_P(qN),
+        g31 ratio = f_Q(A_q^-1 A_p pN) / f_Q(pN),
+
+    which is what re-deriving both constructs with ``affine_family`` and
+    ``closed_form_data`` gives, without any root solve.  The map is
+    holomorphic in (eps_p, eps_q); ``jacobian`` is exact.
+    """
+
+    def __init__(self, c: Construct):
+        self.dir_p = affine_direction(c, "P")
+        self.dir_q = affine_direction(c, "Q")
+        self.f_p = c.p.f
+        self.f_q = c.q.f
+        self.p_node = c.p.node_point
+        self.q_node = c.q.node_point
+        self.base_values = (c.p.f_value(self.q_node), c.q.f_value(self.p_node))
+
+    def _evaluate(self, x: np.ndarray):
+        """Both moves at x, the two read-off points and f_P, f_Q there."""
+        a_p = self.dir_p.map_at(complex(x[0], x[1]))
+        a_q = self.dir_q.map_at(complex(x[2], x[3]))
+        inv_p, inv_q = a_p.inverse(), a_q.inverse()
+        y21 = inv_p(a_q(self.q_node))
+        y31 = inv_q(a_p(self.p_node))
+        values = (self.f_p.affine(y21[0], y21[1]), self.f_q.affine(y31[0], y31[1]))
+        for v in values:
+            if v == 0 or not cmath.isfinite(v):
+                raise GuardError("node-on-curve", "a moved node reached the other cubic")
+        return inv_p, inv_q, y21, y31, values
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        *_, (v21, v31) = self._evaluate(x)
+        return JPoint(v21 / self.base_values[0], v31 / self.base_values[1]).log()
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Real 4x4 Jacobian of the offset, from the complex 2x2 one.
+
+        Entry (row, eps) is grad f(y) . dy/deps / f(y).  Along its own
+        family the generator is constant, so d(A_p^-1 z)/d eps_p =
+        -generator_p(y); the other family enters through the linear part
+        of the outer inverse: d(A_p^-1 A_q qN)/d eps_q = A_p^-1 generator_q(qN).
+        """
+        inv_p, inv_q, y21, y31, values = self._evaluate(x)
+        rows = (
+            (self.f_p, y21, -self.dir_p.generator_at(y21), inv_p.matrix() @ self.dir_q.generator_at(self.q_node)),
+            (self.f_q, y31, inv_q.matrix() @ self.dir_p.generator_at(self.p_node), -self.dir_q.generator_at(y31)),
+        )
+        jac = np.zeros((4, 4))
+        for i, ((f, y, dy_p, dy_q), value) in enumerate(zip(rows, values)):
+            grad = np.asarray(f.gradient(y[0], y[1], 1.0)[:2])
+            for j, dy in enumerate((dy_p, dy_q)):
+                d = complex(grad @ dy) / value
+                jac[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = [[d.real, -d.imag], [d.imag, d.real]]
+        return jac
+
+
+def _rebuilt_offset(c: Construct, cmap: FamilyClassMap, base: JPoint, x: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The class offset at x re-derived from scratch: two guarded rebuilds.
+
+    The slow route that certifies the explicit map: ``affine_family``
+    re-solves the intersections and runs every construct guard under
+    ``tol``, and ``closed_form_data`` reads the class off the result.
+    """
     member = c
-    if eps_p != 0:
-        member = affine_family(member, dir_p, eps_p)
-    if eps_q != 0:
-        member = affine_family(member, dir_q, eps_q)
-    return closed_form_data(member)[0]
+    for direction, eps in ((cmap.dir_p, complex(x[0], x[1])), (cmap.dir_q, complex(x[2], x[3]))):
+        if eps != 0:
+            member = affine_family(member, direction, eps, tol=tol)
+    return JPoint(*closed_form_data(member)[0].ratio(base)).log()
+
+
+def _certified_residual(c: Construct, cmap: FamilyClassMap, base: JPoint, x: np.ndarray, target: np.ndarray, tol: Tolerances) -> float:
+    """Distance to target on the rebuild route; inf if a guard rejects x."""
+    try:
+        return float(np.linalg.norm(_rebuilt_offset(c, cmap, base, x, tol) - target))
+    except GuardError:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -615,24 +698,13 @@ def jacobian_rank(c: Construct, step: float | None = None, tol: Tolerances = DEF
     """Rank of the derivative of the closed-form class along the family.
 
     Four real directions (complex moves of each side, the maps fixing the
-    identification point and the opposite node), central differences with
-    a Richardson disagreement flag, rank from the singular values of the
-    real 4x4 Jacobian of the log class.  Full rank four is the numeric
-    form of smooth fibers of complex rank two.
+    identification point and the opposite node), central differences of
+    the explicit class map with a Richardson disagreement flag, rank from
+    the singular values of the real 4x4 Jacobian of the log class.  Full
+    rank four is the numeric form of smooth fibers of complex rank two.
     """
     h = tol.fd_step if step is None else step
-    dir_p = affine_direction(c, "P")
-    dir_q = affine_direction(c, "Q")
-    base = closed_form_data(c)[0]
-
-    def f(x: np.ndarray) -> np.ndarray:
-        jp = _moved_jpoint(c, dir_p, dir_q, complex(x[0], x[1]), complex(x[2], x[3]))
-        r = jp.ratio(base)
-        return np.array(
-            [cmath.log(r[0]).real, cmath.log(r[0]).imag, cmath.log(r[1]).real, cmath.log(r[1]).imag]
-        )
-
-    fd = finite_diff_jacobian(f, np.zeros(4), h=h, rank_tol=tol.rank_tol)
+    fd = finite_diff_jacobian(FamilyClassMap(c), np.zeros(4), h=h, rank_tol=tol.rank_tol)
     return JacobianReport(fd.rank, tuple(float(s) for s in fd.singular_values), fd.richardson_disagreement, h)
 
 
@@ -665,43 +737,41 @@ def surjectivity_scan(
 
     Targets are offsets exp(zeta) relative to the starting class (the
     class itself is only defined up to (n_p, n_q) factors, so offsets are
-    the well-posed notion).  Newton runs on the four family parameters
-    with a fresh finite-difference Jacobian per step, damped by halving;
-    failures are reported as data, not hidden.
+    the well-posed notion).  Newton runs on the four family parameters of
+    the explicit class map with its exact Jacobian, damped by halving.
+    Each landing is then certified: both constructs are rebuilt with the
+    guarded ``affine_family`` route under ``tolerances``, and ``reached``
+    and ``residual`` come from that rebuild alone (a guard rejection there
+    is an unreached target with infinite residual).  Failures are reported
+    as data, not hidden.
     """
     c = construct if construct is not None else random_construct(seed, tolerances)
     rng = np.random.default_rng(seed + 313)
-    dir_p = affine_direction(c, "P")
-    dir_q = affine_direction(c, "Q")
+    cmap = FamilyClassMap(c)
     base = closed_form_data(c)[0]
-
-    def f(x: np.ndarray) -> np.ndarray:
-        jp = _moved_jpoint(c, dir_p, dir_q, complex(x[0], x[1]), complex(x[2], x[3]))
-        r = jp.ratio(base)
-        return np.array(
-            [cmath.log(r[0]).real, cmath.log(r[0]).imag, cmath.log(r[1]).real, cmath.log(r[1]).imag]
-        )
-
     results = []
     for _ in range(n_targets):
         z1 = max_log_offset * rng.uniform(0.2, 1.0) * cmath.exp(2j * cmath.pi * rng.uniform())
         z2 = max_log_offset * rng.uniform(0.2, 1.0) * cmath.exp(2j * cmath.pi * rng.uniform())
         target = np.array([z1.real, z1.imag, z2.real, z2.imag])
-        x, reached, iters, res = _continuation_solve(f, target, tol)
-        results.append(ScanTarget((complex(z1), complex(z2)), reached, iters, res))
+        x, ok, iters, _ = _continuation_solve(cmap, cmap.jacobian, target, tol)
+        res = _certified_residual(c, cmap, base, x, target, tolerances)
+        if ok and not res <= tol:
+            # the map and the rebuild differ by ~1e-11, so a landing just
+            # under tol on the map can miss it on the rebuild: one more step
+            try:
+                x = x + np.linalg.solve(cmap.jacobian(x), target - cmap(x))
+            except (GuardError, np.linalg.LinAlgError):
+                pass
+            else:
+                iters += 1
+                res = _certified_residual(c, cmap, base, x, target, tolerances)
+        results.append(ScanTarget((complex(z1), complex(z2)), res <= tol, iters, res))
     return ScanReport(tuple(results))
 
 
-def _cheap_jacobian(f, x: np.ndarray, h: float) -> np.ndarray:
-    cols = []
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=1)
 
-
-def _newton_to(f, x0: np.ndarray, target: np.ndarray, tol: float, max_steps: int = 20) -> tuple[np.ndarray, bool, int, float]:
+def _newton_to(f, jac, x0: np.ndarray, target: np.ndarray, tol: float, max_steps: int = 20) -> tuple[np.ndarray, bool, int, float]:
     x = x0.copy()
     used = 0
     res = float("inf")
@@ -715,8 +785,7 @@ def _newton_to(f, x0: np.ndarray, target: np.ndarray, tol: float, max_steps: int
         if res <= tol:
             return x, True, used, res
         try:
-            jac = _cheap_jacobian(f, x, 1e-5)
-            step = np.linalg.solve(jac, target - val)
+            step = np.linalg.solve(jac(x), target - val)
         except (GuardError, np.linalg.LinAlgError):
             return x, False, used, res
         lam = 1.0
@@ -737,7 +806,7 @@ def _newton_to(f, x0: np.ndarray, target: np.ndarray, tol: float, max_steps: int
     return x, False, used, res
 
 
-def _continuation_solve(f, target: np.ndarray, tol: float, max_total_iters: int = 400) -> tuple[np.ndarray, bool, int, float]:
+def _continuation_solve(f, jac, target: np.ndarray, tol: float, max_total_iters: int = 400) -> tuple[np.ndarray, bool, int, float]:
     """Walk the target in from zero, Newton-solving each stage.
 
     The map is locally invertible but a full-size step can leave the guard
@@ -752,7 +821,7 @@ def _continuation_solve(f, target: np.ndarray, tol: float, max_total_iters: int 
     res = float("inf")
     while achieved < 1.0:
         frac = min(1.0, achieved + stage)
-        x_new, ok, used, res = _newton_to(f, x, frac * target, tol)
+        x_new, ok, used, res = _newton_to(f, jac, x, frac * target, tol)
         total_iters += used
         if total_iters > max_total_iters:
             return x, False, total_iters, res

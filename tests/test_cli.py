@@ -81,6 +81,10 @@ def test_reports_are_byte_identical(capsys):
     _, out2, _ = run(capsys, "obs", "jacobian", "--seed", "3", "--json")
     assert out1 == out2
     assert json.loads(out1)["report"]["rank"] == 4
+    _, out1, _ = run(capsys, "obs", "scan", "--seed", "5", "--targets", "2", "--json")
+    _, out2, _ = run(capsys, "obs", "scan", "--seed", "5", "--targets", "2", "--json")
+    assert out1 == out2
+    assert json.loads(out1)["report"]["all_reached"]
 
 
 def test_consistency_subcommand(capsys):
@@ -89,6 +93,13 @@ def test_consistency_subcommand(capsys):
     rep = json.loads(out)["report"]
     assert rep["deviation"] <= 1e-6
     assert rep["tolerance"] == 1e-6
+
+
+def test_exhausted_family_exits_3(capsys):
+    code, out, err = run(capsys, "obs", "consistency", "--seed", "200146")
+    assert code == 3
+    assert "rejected (sampling-exhausted)" in err
+    assert "Traceback" not in out + err
 
 
 def test_subdivide_subcommand(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualcx.errors import GuardError
-from dualcx.numerics import Poly, chordal, is_inf, poly_from_roots
+from dualcx.numerics import DEFAULT_TOL, Poly, chordal, is_inf, poly_from_roots
 from dualcx.cubics import (
     AffineMapPlane,
     CubicMap,
@@ -236,8 +236,6 @@ def test_construct_guards():
         make_construct(c.p, c.q, c.n_index, c.p.node[0])
     assert err.value.reason == "b-collision"
     # collinearity guard: raise the margin until the best configuration trips
-    from dualcx.numerics import DEFAULT_TOL
-
     with pytest.raises(GuardError) as err2:
         make_construct(c.p, c.q, c.n_index, c.b_param, DEFAULT_TOL.with_overrides(guard_margin=10.0))
     assert err2.value.reason in ("collinear-markers", "node-on-curve")
@@ -279,6 +277,15 @@ def test_affine_family_moves_the_right_value():
     fp_qn_before = c.p.f_value(c.q.node_point)
     fp_qn_after = member.p.f_value(member.q.node_point)
     assert abs(fp_qn_after - fp_qn_before) > 1e-4 * abs(fp_qn_before)
+
+
+def test_affine_family_runs_under_the_given_tolerances():
+    # a guard margin no construct can meet must reach the rebuild's guards
+    c = random_construct(11)
+    strict = DEFAULT_TOL.with_overrides(guard_margin=1.0)
+    with pytest.raises(GuardError) as err:
+        affine_family(c, affine_direction(c, "Q"), 0.01, tol=strict)
+    assert err.value.reason == "node-on-curve"
 
 
 def test_marks_stable_across_family_range():

@@ -1,10 +1,12 @@
 """The two evaluation routes, their consistency, rank, and the scan."""
 
+import time
+
 import numpy as np
 import pytest
 
 from dualcx.errors import GuardError, ValidationError
-from dualcx.numerics import DEFAULT_TOL, chordal
+from dualcx.numerics import DEFAULT_TOL, chordal, finite_diff_jacobian
 from dualcx.cubics import (
     AffineMapPlane,
     affine_direction,
@@ -13,7 +15,9 @@ from dualcx.cubics import (
     transport_construct,
 )
 from dualcx.ncgeom import pic_equal, pic0_structure, duncehat_curve_graph
+from dualcx import obstruction
 from dualcx.obstruction import (
+    FamilyClassMap,
     GluingTriple,
     JPoint,
     closed_form_data,
@@ -324,6 +328,72 @@ def test_scan_identity_target_is_instant():
         calls.append(1)
         return np.asarray(x, dtype=float)
 
-    x, ok, iters, res = _continuation_solve(f, np.zeros(4), 1e-8)
+    x, ok, iters, res = _continuation_solve(f, lambda x: np.eye(4), np.zeros(4), 1e-8)
     assert ok and res == 0.0 and np.allclose(x, 0.0)
     assert len(calls) == 1
+
+
+def _rebuild_route(c):
+    """The class offset through guarded rebuilds, as a map of x."""
+    cmap = FamilyClassMap(c)
+    base = closed_form_data(c)[0]
+    return cmap, lambda x: obstruction._rebuilt_offset(c, cmap, base, x, DEFAULT_TOL)
+
+
+def test_explicit_class_map_matches_rebuild_route():
+    rng = np.random.default_rng(2020)
+    for seed in range(10):
+        cmap, rebuilt = _rebuild_route(random_construct(seed))
+        for _ in range(2):
+            eps = 0.05 * rng.uniform(0.0, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            x = np.array([eps[0].real, eps[0].imag, eps[1].real, eps[1].imag])
+            assert np.max(np.abs(cmap(x) - rebuilt(x))) <= 1e-9, (seed, x)
+
+
+def test_analytic_jacobian_matches_rebuild_finite_differences():
+    for seed in range(5):
+        cmap, rebuilt = _rebuild_route(random_construct(seed))
+        analytic = cmap.jacobian(np.zeros(4))
+        fd = finite_diff_jacobian(rebuilt, np.zeros(4)).matrix
+        assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(analytic)), seed
+
+
+def test_scan_certificate_gates_a_biased_map(monkeypatch):
+    # Newton lands where the biased map meets the target; the guarded
+    # rebuild sees the bias and refuses the landing
+    explicit = FamilyClassMap.__call__
+    monkeypatch.setattr(FamilyClassMap, "__call__", lambda self, x: explicit(self, x) + 1e-6)
+    t = surjectivity_scan(5, n_targets=1, tol=1e-8, max_log_offset=0.01).targets[0]
+    assert not t.reached
+    assert 1e-6 < t.residual < 1e-5
+
+
+def test_scan_refines_a_landing_the_certificate_misses(monkeypatch):
+    # a landing Newton accepted but the rebuild puts above tol gets one
+    # more step on the map, and is certified again
+    solve = obstruction._continuation_solve
+
+    def coarse(f, jac, target, tol):
+        x, ok, iters, res = solve(f, jac, target, tol)
+        return x + 1e-7, ok, iters, res
+
+    monkeypatch.setattr(obstruction, "_continuation_solve", coarse)
+    exact = surjectivity_scan(5, n_targets=1, tol=1e-8, max_log_offset=0.01).targets[0]
+    monkeypatch.setattr(obstruction, "_continuation_solve", solve)
+    plain = surjectivity_scan(5, n_targets=1, tol=1e-8, max_log_offset=0.01).targets[0]
+    assert exact.reached and exact.residual <= 1e-8
+    assert exact.iterations == plain.iterations + 1
+
+def test_scan_reaches_near_target_where_finite_differences_stalled():
+    seed = 23_200_001
+    rep = surjectivity_scan(seed, n_targets=1, tol=1e-8, max_log_offset=0.002, construct=random_construct(seed))
+    t = rep.targets[0]
+    assert t.reached and t.residual <= 1e-8
+
+
+def test_seeded_family_gives_up_on_rejected_moves():
+    t0 = time.time()
+    with pytest.raises(GuardError) as info:
+        seeded_family(200_146, 5)
+    assert info.value.reason == "sampling-exhausted"
+    assert time.time() - t0 < 30.0
