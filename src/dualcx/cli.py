@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, DualcxError, GuardError, ValidationError
+from .errors import BudgetError, DualcxError, GuardError, RootFindingError, ValidationError
 from .numerics import DEFAULT_TOL, Tolerances
 from . import simplicial, topology, ncgeom, cubics, obstruction
 from .serialize import construct_from_json, construct_to_json
@@ -408,8 +408,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuardError,) as exc:
+    except GuardError as exc:
         print(f"rejected ({exc.reason}): {exc}", file=sys.stderr)
+        return 3
+    except RootFindingError as exc:
+        print(f"rejected (root-finding): {exc}", file=sys.stderr)
         return 3
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,6 +73,15 @@ MONOMIALS: tuple[tuple[int, int, int], ...] = (
 )
 
 
+def _compose_terms(terms, gx: Poly, gy: Poly, gw: Poly) -> Poly:
+    """``sum c gx^a gy^b gw^g`` over the ``((a, b, g), c)`` in ``terms``, in their order."""
+    powers = [[Poly([1.0]), g, g * g, g * g * g] for g in (gx, gy, gw)]
+    out = Poly([0.0])
+    for (a, b, g), c in terms:
+        out = out + c * (powers[0][a] * powers[1][b] * powers[2][g])
+    return out
+
+
 def _tern_mul(a: dict, b: dict) -> dict:
     out: dict[tuple[int, int, int], complex] = {}
     for (i, j, k), ca in a.items():
@@ -130,13 +139,7 @@ class TernaryCubic:
 
     def compose_map(self, gx: Poly, gy: Poly, gw: Poly) -> Poly:
         """The univariate polynomial F(gx(t), gy(t), gw(t))."""
-        powers = {}
-        for base, name in ((gx, 0), (gy, 1), (gw, 2)):
-            powers[name] = [Poly([1.0]), base, base * base, base * base * base]
-        out = Poly([0.0])
-        for c, (a, b, g) in zip(self.coef, MONOMIALS):
-            out = out + c * (powers[0][a] * powers[1][b] * powers[2][g])
-        return out
+        return _compose_terms(zip(MONOMIALS, self.coef), gx, gy, gw)
 
     def compose_linear(self, L) -> "TernaryCubic":
         """The form F(L v): substitute linear coordinates."""
@@ -454,15 +457,7 @@ def residue_at_node_preimage(gamma: CubicMap, f: TernaryCubic, u: complex) -> co
 
 
 def _partial_composed(gamma: CubicMap, f: TernaryCubic, var: int) -> Poly:
-    out = Poly([0.0])
-    powers = {
-        0: [Poly([1.0]), gamma.x, gamma.x * gamma.x, gamma.x * gamma.x * gamma.x],
-        1: [Poly([1.0]), gamma.y, gamma.y * gamma.y, gamma.y * gamma.y * gamma.y],
-        2: [Poly([1.0]), gamma.w, gamma.w * gamma.w, gamma.w * gamma.w * gamma.w],
-    }
-    for (a, b, g), c in f.partial(var).items():
-        out = out + c * (powers[0][a] * powers[1][b] * powers[2][g])
-    return out
+    return _compose_terms(f.partial(var).items(), gamma.x, gamma.y, gamma.w)
 
 
 def normalize_residue(gamma: CubicMap, f: TernaryCubic, u_first: complex) -> TernaryCubic:
@@ -656,10 +651,6 @@ class Construct:
     @property
     def n_point(self) -> np.ndarray:
         return self.p.gamma.affine(self.t_p3)
-
-    @property
-    def b_point(self) -> np.ndarray:
-        return self.p.gamma.affine(self.b_param)
 
     def marks_p(self) -> tuple[complex, complex, complex]:
         return (self.t_p1, self.t_p2, self.t_p3)

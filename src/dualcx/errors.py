@@ -2,7 +2,7 @@
 
 The split matters for the command line tool, which maps these onto exit
 codes: usage and malformed-input problems exit 2, numeric guard rejections
-exit 3, and verdict failures exit 1.
+and root-finding failures exit 3, and verdict failures exit 1.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ Conventions fixed here and relied on everywhere else:
   polynomials, matrix entries for Moebius maps), never through a large
   finite proxy.
 * ``Poly`` stores coefficients in ascending order, ``p(t) = sum c_k t^k``.
-* Root finding is simultaneous Aberth-Ehrlich iteration with deterministic
-  initial guesses on a perturbed circle.  A root is accepted only when its
-  backward error ``|p(z)| <= tol * sum |c_k| |z|^k`` is met; non-convergence
-  raises, it is never silent.
+* Root finding is simultaneous Aberth-Ehrlich iteration started from the
+  companion-matrix eigenvalues.  A root set is accepted only when every
+  backward error ``|p(z)| <= tol * sum |c_k| |z|^k`` is met; after one
+  Aberth step it is returned at once when disjoint Weierstrass inclusion
+  disks prove every root simple, and polished further otherwise.
+  Non-convergence raises, it is never silent.
 * All default tolerances live in :class:`Tolerances` and may be overridden
   per call.
 """
@@ -43,6 +45,15 @@ def chordal(z: complex, w: complex) -> float:
     if is_inf(w):
         return 1.0 / abs(cmath.sqrt(1.0 + abs(z) ** 2))
     return abs(z - w) / (abs(cmath.sqrt(1.0 + abs(z) ** 2)) * abs(cmath.sqrt(1.0 + abs(w) ** 2)))
+
+
+def _chordal_matrix(points) -> np.ndarray:
+    """``|a_i b_j - b_i a_j|`` over unit homogeneous ``[a : b]``: ``[z : 1]``, or ``[1 : 0]`` for ``INF``."""
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    a, b = np.where(np.isinf(z), 1.0, z), np.where(np.isinf(z), 0.0, 1.0)
+    norm = np.hypot(np.abs(a), b)
+    a, b = a / norm, b / norm
+    return np.abs(np.outer(a, b) - np.outer(b, a))
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,6 @@ class Poly:
     def eval_many(self, ts) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(ts, dtype=complex), self.coef)
 
-    def reversed(self) -> "Poly":
-        """Chart swap t -> 1/t: coefficients in reverse order."""
-        return Poly(self.coef[::-1])
-
     def derivative(self) -> "Poly":
         if len(self.coef) == 1:
             return Poly([0.0])
@@ -170,19 +177,6 @@ class Poly:
             n >>= 1
         return out
 
-    def deflate(self, root: complex) -> "Poly":
-        """Synthetic division by (t - root); remainder discarded."""
-        c = self.coef
-        n = len(c) - 1
-        if n < 1:
-            raise ValidationError("cannot deflate a constant")
-        out = np.zeros(n, dtype=complex)
-        acc = c[n]
-        for k in range(n - 1, -1, -1):
-            out[k] = acc
-            acc = c[k] + acc * root
-        return Poly(out)
-
     def __repr__(self) -> str:
         return f"Poly({np.array2string(self.coef, precision=6)})"
 
@@ -194,22 +188,33 @@ def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
     return out
 
 
-def _backward_errors(coef_abs: np.ndarray, z: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    scale = np.zeros_like(az)
-    for k in range(len(coef_abs)):
-        scale += coef_abs[k] * az**k
-    scale = np.maximum(scale, np.max(coef_abs) * 1e-30)
-    return np.abs(pz) / scale
+def _isolated(pz: np.ndarray, scale: np.ndarray, an_abs: float, dist: np.ndarray) -> bool:
+    """Whether the Weierstrass disks ``|z - z_i| <= n |p(z_i) / (a_n prod_{j != i} (z_i - z_j))|`` are disjoint.
+
+    A connected union of k such disks holds exactly k roots (Bini & Fiorentino,
+    Numer. Algorithms 2000), so disjoint disks isolate one simple root each.
+    ``|p(z_i)|`` is enlarged by the rounding bound of Horner's rule, so a
+    residual that rounds to zero proves nothing.  ``dist`` has a unit diagonal.
+    """
+    n = len(pz)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        radius = n * (np.abs(pz) + 4 * n * np.finfo(float).eps * scale) / (an_abs * np.prod(dist, axis=1))
+        gap = dist - radius[:, None] - radius[None, :]
+    np.fill_diagonal(gap, 1.0)
+    return bool(np.all(gap > 0))
 
 
 def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list[complex]:
     """All complex roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Returns a plain list of ``degree`` roots (multiplicities appear as
-    clusters; see :func:`poly_roots` for merged output).  Initialization is
-    deterministic: equispaced points on a circle of Cauchy-bound radius,
-    rotated by a fixed irrational angle so symmetric inputs do not stall.
+    clusters; see :func:`poly_roots` for merged output).  The sweeps start
+    from the companion-matrix eigenvalues (Edelman & Murakami, Math. Comp.
+    1995).  Once every backward error is at most ``tol``, after at least one
+    Aberth step, disjoint Weierstrass disks return the roots at once, each
+    proven simple; otherwise clusters keep tightening until a step falls
+    below ``1e-15`` relative or 48 polishing sweeps have run.  Without a
+    certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
     """
     tol = DEFAULT_TOL.root_residual if tol is None else tol
     q = p.trim()
@@ -231,19 +236,32 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
 
     coef = q.coef
     an = coef[-1]
-    radius = 1.0 + float(np.max(np.abs(coef[:-1] / an))) if n >= 1 else 1.0
+    companion = np.diag(np.ones(n - 1, dtype=complex), -1)
+    companion[0] = -coef[-2::-1] / an
+    try:
+        z = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingError(f"companion eigenvalues failed (degree {n}): {exc}") from exc
+    # Cauchy bound: the size of the kick that replaces a non-finite step
+    radius = 1.0 + float(np.max(np.abs(coef[:-1] / an)))
     ks = np.arange(n)
-    z = radius * np.exp(2j * np.pi * (ks + 0.25) / n + 0.376991j)
-    # slight radial stagger to break residual symmetries deterministically
-    z *= 1.0 + 0.01 * ((ks % 7) - 3) / 7.0
 
     dq = q.derivative()
     coef_abs = np.abs(coef)
+    scale_floor = np.max(coef_abs) * 1e-30
     polish = 0
-    for _ in range(max_iter):
+    for sweep in range(max_iter):
         pz = q.eval_many(z)
-        converged = np.max(_backward_errors(coef_abs, z, pz)) <= tol
+        # the backward-error scale sum |c_k| |z|^k, by one Horner pass
+        scale = np.maximum(np.polynomial.polynomial.polyval(np.abs(z), coef_abs), scale_floor)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        converged = np.max(np.abs(pz) / scale) <= tol
         if converged:
+            # eigenvalues carry the eigensolver's rounding (ulps off even for
+            # t^2 - 1): they are returned only after one Aberth step
+            if sweep and _isolated(pz, scale, abs(an), np.abs(diff)):
+                return roots + [complex(v) for v in z]
             # keep iterating a while: clusters around multiple roots tighten
             # linearly after the backward-error target is already met
             polish += 1
@@ -253,8 +271,6 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
         # Newton correction with Aberth repulsion
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0.1j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
             inv = 1.0 / diff
             np.fill_diagonal(inv, 0.0)
             s = inv.sum(axis=1)
@@ -267,9 +283,6 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
         if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
             return roots + [complex(v) for v in nz]
         z = nz
-    pz = q.eval_many(z)
-    if np.max(_backward_errors(coef_abs, z, pz)) <= tol:
-        return roots + [complex(v) for v in z]
     raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {q.degree})")
 
 
@@ -481,30 +494,28 @@ class Divisor:
         return Divisor([(z, k * m) for z, m in self.points])
 
     def merged(self, radius: float = DEFAULT_TOL.cluster_radius) -> "Divisor":
-        """Merge nearby points, summing multiplicities; drop zeros."""
-        out: list[tuple[complex, list[tuple[complex, int]]]] = []
-        for z, m in self.points:
-            for k, (rep, members) in enumerate(out):
-                if chordal(z, rep) <= radius:
-                    members.append((z, m))
+        """Merge nearby points, summing multiplicities; drop zeros.
+
+        A point joins the first cluster whose first point is within ``radius``.
+        """
+        close = (_chordal_matrix([z for z, _ in self.points]) <= radius).tolist()
+        clusters: list[list[int]] = []
+        for i, row in enumerate(close):
+            for members in clusters:
+                if row[members[0]]:
+                    members.append(i)
                     break
             else:
-                out.append((z, [(z, m)]))
+                clusters.append([i])
         merged = []
-        for rep, members in out:
-            total = sum(m for _, m in members)
+        for members in clusters:
+            total = sum(self.points[k][1] for k in members)
             if total == 0:
                 continue
-            finite = [z for z, _ in members if not is_inf(z)]
-            if len(finite) == len(members):
-                rep = complex(np.mean(np.asarray(finite)))
-            else:
-                rep = INF
+            pts = [self.points[k][0] for k in members]
+            rep = INF if any(is_inf(z) for z in pts) else complex(np.mean(np.asarray(pts)))
             merged.append((rep, total))
         return Divisor(merged)
-
-    def multiplicity_at(self, z: complex, radius: float = DEFAULT_TOL.cluster_radius) -> int:
-        return sum(m for w, m in self.points if chordal(w, z) <= radius)
 
     def split_at(self, marks: list[complex], radius: float = DEFAULT_TOL.cluster_radius) -> tuple[list[int], "Divisor"]:
         """(multiplicities at the marks, remainder divisor off the marks)."""

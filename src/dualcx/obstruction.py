@@ -72,6 +72,7 @@ from .numerics import (
 from .cubics import (
     Construct,
     NodalCubic,
+    _partial_composed,
     affine_direction,
     affine_family,
     omega,
@@ -292,12 +293,6 @@ def _poly_div(p: Poly, tol: float) -> Divisor:
     return Divisor(pts)
 
 
-def _compose_partial(cubic: NodalCubic, var: int) -> Poly:
-    from .cubics import _partial_composed
-
-    return _partial_composed(cubic.gamma, cubic.f, var)
-
-
 def _v_scale_divisor(cubic: NodalCubic) -> Divisor:
     """Divisor of V(t) = ((a-c) t + (b-d))^2 / det: double zero, double pole at infinity."""
     (a, b), (cc, d) = cubic.tau.m
@@ -317,7 +312,7 @@ def _u_ratio_divisor(cubic: NodalCubic, tol: float) -> Divisor:
     merge, leaving the double flex zero and the two node-preimage poles.
     """
     num = cubic.gamma.nx.trim()
-    den = _compose_partial(cubic, 1).trim()
+    den = _partial_composed(cubic.gamma, cubic.f, 1).trim()
     if den.is_zero():
         raise GuardError("chart-degenerate", "the y-partial vanishes along the curve")
     return _v_scale_divisor(cubic) + _poly_div(num, tol) - _poly_div(den, tol)

@@ -425,7 +425,11 @@ def has_semisimplicial_lift(t: TriangulatedSet) -> bool:
 
 
 def _as_tset(x) -> TriangulatedSet:
-    return x if isinstance(x, TriangulatedSet) else functor_p(x)
+    if isinstance(x, TriangulatedSet):
+        return x
+    if isinstance(x, SemiSimplicialSet):
+        return functor_p(x)
+    raise ValidationError(f"expected a complex, got {type(x).__name__}")
 
 
 def is_simple(x) -> bool:

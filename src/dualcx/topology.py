@@ -20,17 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, ValidationError
-from .simplicial import SemiSimplicialSet, TriangulatedSet, functor_p
+from .simplicial import SemiSimplicialSet, TriangulatedSet, _as_tset
 
 MAX_HOMOLOGY_DIM = 4
-
-
-def _as_tset(x) -> TriangulatedSet:
-    if isinstance(x, TriangulatedSet):
-        return x
-    if isinstance(x, SemiSimplicialSet):
-        return functor_p(x)
-    raise ValidationError(f"expected a complex, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

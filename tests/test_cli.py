@@ -85,6 +85,10 @@ def test_reports_are_byte_identical(capsys):
     _, out2, _ = run(capsys, "obs", "scan", "--seed", "5", "--targets", "2", "--json")
     assert out1 == out2
     assert json.loads(out1)["report"]["all_reached"]
+    _, out1, _ = run(capsys, "obs", "consistency", "--seed", "100", "--json")
+    _, out2, _ = run(capsys, "obs", "consistency", "--seed", "100", "--json")
+    assert out1 == out2
+    assert json.loads(out1)["verdict"] == "pass"
 
 
 def test_consistency_subcommand(capsys):
@@ -99,6 +103,13 @@ def test_exhausted_family_exits_3(capsys):
     code, out, err = run(capsys, "obs", "consistency", "--seed", "200146")
     assert code == 3
     assert "rejected (sampling-exhausted)" in err
+    assert "Traceback" not in out + err
+
+
+def test_root_finding_failure_exits_3(capsys):
+    code, out, err = run(capsys, "obs", "consistency", "--seed", "100", "--tol-root", "1e-30")
+    assert code == 3
+    assert "rejected (root-finding): " in err
     assert "Traceback" not in out + err
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualcx.cubics import random_construct
 from dualcx.errors import RootFindingError, ValidationError
 from dualcx.numerics import (
     INF,
@@ -66,6 +67,55 @@ def test_product_roots_are_union():
         assert sum(m for _, m in roots) == 5
         for want in list(ra) + list(rb):
             assert min(abs(z - want) for z, _ in roots) < 1e-8
+
+
+def test_intersection_roots_certify_within_six_sweeps():
+    # the degree-9 intersection polynomials of random constructs: isolated
+    # simple roots, certified by disjoint inclusion disks on the first sweep
+    for seed in range(20):
+        c = random_construct(seed)
+        f = c.q.f.compose_map(c.p.gamma.x, c.p.gamma.y, c.p.gamma.w).trim(rel=1e-12)
+        roots = aberth_roots(f, max_iter=6)
+        assert len(roots) == f.degree == 9
+
+
+def test_triple_roots_stay_clustered():
+    a = -0.4701391310754686 + 0.3251221598508431j
+    b = -0.1854718634057621 + 1.8367223723697645j
+    c = 1.4169676901697452 + 1.0564520479465793j
+    roots = poly_roots(poly_from_roots([a] * 3 + [b] * 2 + [c] * 3))
+    assert sorted(m for _, m in roots) == [2, 3, 3]
+    for want, mult in ((a, 3), (b, 2), (c, 3)):
+        assert min((abs(z - want), m) for z, m in roots)[1] == mult
+
+
+def test_seeded_multiplicities_come_back_exactly():
+    # distinct roots at least 0.5 apart, multiplicities 1-3, total degree <= 9
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        mults = []
+        while True:
+            m = int(rng.integers(1, 4))
+            if sum(mults) + m > 9:
+                break
+            mults.append(m)
+            if rng.random() < 0.25:
+                break
+        while True:
+            want = 1.5 * (rng.standard_normal(len(mults)) + 1j * rng.standard_normal(len(mults)))
+            if all(abs(x - y) >= 0.5 for i, x in enumerate(want) for y in want[i + 1:]):
+                break
+        lead = complex(rng.standard_normal(), rng.standard_normal())
+        got = poly_roots(poly_from_roots([r for r, m in zip(want, mults) for _ in range(m)], leading=lead))
+        assert len(got) == len(mults)
+        for r, m in zip(want, mults):
+            dist, mult = min((abs(z - r), k) for z, k in got)
+            assert dist < 1e-3 and mult == m
+
+
+def test_failed_eigensolve_is_loud():
+    with pytest.raises(RootFindingError):
+        aberth_roots(Poly([float("nan"), 1.0]))
 
 
 def test_nonconvergence_is_loud():
@@ -138,6 +188,43 @@ def test_divisor_split_and_merge():
     mults, off = merged.split_at([1.0, 3.0])
     assert mults == [1, 1]
     assert len(off.points) == 1 and is_inf(off.points[0][0])
+
+
+def _merged_by_scalar_chordal(d, radius):
+    clusters = []
+    for z, m in d.points:
+        for members in clusters:
+            if chordal(z, members[0][0]) <= radius:
+                members.append((z, m))
+                break
+        else:
+            clusters.append([(z, m)])
+    out = []
+    for members in clusters:
+        total = sum(m for _, m in members)
+        if total:
+            pts = [z for z, _ in members]
+            out.append((INF if any(map(is_inf, pts)) else complex(np.mean(pts)), total))
+    return out
+
+
+def test_divisor_merge_matches_scalar_chordal_reference():
+    rng = np.random.default_rng(13)
+    radius = 1e-7
+    for _ in range(50):
+        base = list(rng.standard_normal(6) * 10.0 ** rng.integers(-2, 4, 6) + 1j * rng.standard_normal(6))
+        base.append(INF)
+        pts = []
+        for _ in range(int(rng.integers(1, 25))):
+            z = base[int(rng.integers(len(base)))]
+            if not is_inf(z):
+                z = z + complex(*rng.standard_normal(2)) * radius * rng.choice([0.1, 0.4, 3.0]) * (1 + abs(z) ** 2)
+            elif rng.random() < 0.5:
+                z = 1e9 * complex(*rng.standard_normal(2))
+            pts.append((z, int(rng.integers(-3, 4))))
+        d = Divisor(pts)
+        assert d.merged(radius).points == _merged_by_scalar_chordal(d, radius)
+    assert Divisor([]).merged().points == []
 
 
 def test_chordal_metric():
