@@ -267,19 +267,9 @@ def check_rank_and_scan(tol: Tolerances, quick: bool) -> dict:
         except GuardError:
             rejected += 1
             continue
-        jr = ob.jacobian_rank(c, tol=tol)
-        if jr.rank == 4:
+        if ob.jacobian_rank(c, tol=tol).rank == 4:
             full += 1
-            continue
-        # re-examine at tighter steps before declaring a failure
-        retried = False
-        for h in (1e-6, 1e-7):
-            jr2 = ob.jacobian_rank(c, step=h, tol=tol)
-            if jr2.rank == 4:
-                full += 1
-                retried = True
-                break
-        if not retried:
+        else:
             persistent_failures.append(seed)
     scan = ob.surjectivity_scan(seed=41, n_targets=n_targets, tol=1e-8, tolerances=tol)
     reached = sum(t.reached for t in scan.targets)

@@ -265,7 +265,6 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
             "summary": _construct_summary(c),
             "rank": jr.rank,
             "singular_values": list(jr.singular_values),
-            "richardson_disagreement": jr.richardson_disagreement,
             "rank_tol": tol.rank_tol,
             "full_rank": jr.rank == 4,
         }, jr.rank == 4

@@ -515,7 +515,6 @@ class NodalCubic:
 def nodal_cubic(
     gamma: CubicMap,
     node: tuple[complex, complex] | None = None,
-    swap_node_order: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> NodalCubic:
     """Assemble the full cubic bundle from a parametrization.
@@ -526,8 +525,6 @@ def nodal_cubic(
     residue.
     """
     u1, u2 = node if node is not None else find_node(gamma)
-    if swap_node_order:
-        u1, u2 = u2, u1
     gu, gv = gamma.hom(u1), gamma.hom(u2)
     cross = np.linalg.norm(np.cross(gu, gv)) / (np.linalg.norm(gu) * np.linalg.norm(gv))
     if cross > 1e-7:

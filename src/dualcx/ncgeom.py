@@ -529,27 +529,10 @@ def pic0_structure(graph: CurveIncidenceGraph) -> PicTorus:
     for col in range(rank, e):
         chars.append(tuple(V[row][col] for row in range(e)))
     torus = PicTorus(graph, tuple(tuple(g) for g in gens), tuple(chars))
-    expected = sum(m - 1 for m in graph.point_multiplicities) - graph.num_components + _graph_components(graph)
-    if torus.dimension != expected:
+    # validate() makes sum m_j = #edges, so the docstring's formula is betti_1
+    if torus.dimension != graph.betti_1():
         raise ValidationError("character count disagrees with the lattice dimension formula")
     return torus
-
-
-def _graph_components(graph: CurveIncidenceGraph) -> int:
-    n_vert = graph.num_components + len(graph.point_multiplicities)
-    parent = list(range(n_vert))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c, p in graph.edges:
-        ra, rb = find(c), find(graph.num_components + p)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(n_vert)})
 
 
 def _is_exact(v) -> bool:

@@ -64,17 +64,13 @@ class Tolerances:
     cluster_radius : radius (chordal) used to merge root clusters and to
         match divisor points.
     rank_tol : singular values below ``rank_tol * sigma_max`` count as zero.
-    mobius_det_floor : minimal determinant modulus after unit normalization.
     guard_margin : relative margin for genericity guards on constructs.
-    fd_step : default finite-difference step.
     """
 
     root_residual: float = 1e-11
     cluster_radius: float = 1e-7
     rank_tol: float = 1e-6
-    mobius_det_floor: float = 1e-12
     guard_margin: float = 1e-6
-    fd_step: float = 1e-5
 
     def with_overrides(self, **kw) -> "Tolerances":
         return replace(self, **kw)
@@ -286,36 +282,6 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {q.degree})")
 
 
-def cluster_points(points: list[complex], radius: float) -> list[tuple[complex, int]]:
-    """Greedy union of points at pairwise chordal distance <= radius.
-
-    Returns (representative, count) pairs; the representative is the mean of
-    the finite members (or ``INF`` for an infinite cluster).
-    """
-    remaining = list(points)
-    out: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            for w in remaining:
-                if any(chordal(w, m) <= radius for m in members):
-                    members.append(w)
-                    changed = True
-                else:
-                    keep.append(w)
-            remaining = keep
-        if any(is_inf(m) for m in members):
-            rep = INF
-        else:
-            rep = complex(np.mean(np.asarray(members)))
-        out.append((rep, len(members)))
-    return out
-
-
 def _merge_radius(size: int, base: float) -> float:
     # an m-fold root computed in double precision scatters like eps**(1/m)
     return max(base, 5.0 * (1e-14) ** (1.0 / size))
@@ -365,8 +331,6 @@ def _cluster_adaptive(points: list[complex], base: float) -> list[tuple[complex,
             return [(INF, len(points))]
         return [(complex(np.mean(np.asarray(points))), len(points))]
     left, right = _largest_gap_split(points)
-    if not left or not right:  # degenerate split; fall back to fixed radius
-        return cluster_points(points, base)
     return _cluster_adaptive(left, base) + _cluster_adaptive(right, base)
 
 
@@ -388,23 +352,26 @@ def poly_roots(p: Poly, tol: float | None = None, cluster_radius: float | None =
 # ---------------------------------------------------------------------------
 
 
+MOBIUS_DET_FLOOR = 1e-12  # minimal determinant modulus after unit normalization
+
+
 class Mobius:
     """Invertible fractional-linear map of the projective line.
 
     Stored as a 2x2 complex matrix up to scale, normalized so the largest
-    entry has modulus one.  Determinant modulus below the configured floor
+    entry has modulus one.  Determinant modulus below ``MOBIUS_DET_FLOOR``
     is rejected.
     """
 
     __slots__ = ("m",)
 
-    def __init__(self, m, det_floor: float = DEFAULT_TOL.mobius_det_floor):
+    def __init__(self, m):
         mat = np.asarray(m, dtype=complex).reshape(2, 2)
         scale = float(np.max(np.abs(mat)))
         if scale == 0.0:
             raise ValidationError("zero Moebius matrix")
         mat = mat / scale
-        if abs(np.linalg.det(mat)) < det_floor:
+        if abs(np.linalg.det(mat)) < MOBIUS_DET_FLOOR:
             raise ValidationError("Moebius matrix is numerically singular")
         self.m = mat
 
@@ -591,14 +558,14 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol) -
     return int(np.sum(s > rank_tol * s[0])), s
 
 
-def finite_diff_jacobian(f, x, h: float | None = None, rank_tol: float | None = None) -> FDJacobian:
+def finite_diff_jacobian(f, x, h: float = 1e-5, rank_tol: float | None = None) -> FDJacobian:
     """Central-difference Jacobian of a black-box map R^k -> R^m.
 
     Computes at steps h and h/2, Richardson-extrapolates, and reports the
     relative disagreement of the two estimates so callers can flag
-    step-size instability.
+    step-size instability.  The program's own Jacobians are exact; this is
+    the independent check the tests hold them against.
     """
-    h = DEFAULT_TOL.fd_step if h is None else h
     rank_tol = DEFAULT_TOL.rank_tol if rank_tol is None else rank_tol
     coarse = _central_jacobian(f, x, h)
     fine = _central_jacobian(f, x, h / 2.0)

@@ -66,8 +66,8 @@ from .numerics import (
     Tolerances,
     aberth_roots,
     chordal,
-    finite_diff_jacobian,
     is_inf,
+    numerical_rank,
 )
 from .cubics import (
     Construct,
@@ -685,22 +685,19 @@ def _certified_residual(c: Construct, cmap: FamilyClassMap, base: JPoint, x: np.
 class JacobianReport:
     rank: int
     singular_values: tuple[float, ...]
-    richardson_disagreement: float
-    step: float
 
 
-def jacobian_rank(c: Construct, step: float | None = None, tol: Tolerances = DEFAULT_TOL) -> JacobianReport:
+def jacobian_rank(c: Construct, tol: Tolerances = DEFAULT_TOL) -> JacobianReport:
     """Rank of the derivative of the closed-form class along the family.
 
     Four real directions (complex moves of each side, the maps fixing the
-    identification point and the opposite node), central differences of
-    the explicit class map with a Richardson disagreement flag, rank from
-    the singular values of the real 4x4 Jacobian of the log class.  Full
-    rank four is the numeric form of smooth fibers of complex rank two.
+    identification point and the opposite node); the rank comes from the
+    singular values of the exact real 4x4 Jacobian of the log class at the
+    construct.  Full rank four is the numeric form of smooth fibers of
+    complex rank two.
     """
-    h = tol.fd_step if step is None else step
-    fd = finite_diff_jacobian(FamilyClassMap(c), np.zeros(4), h=h, rank_tol=tol.rank_tol)
-    return JacobianReport(fd.rank, tuple(float(s) for s in fd.singular_values), fd.richardson_disagreement, h)
+    rank, s = numerical_rank(FamilyClassMap(c).jacobian(np.zeros(4)), tol.rank_tol)
+    return JacobianReport(rank, tuple(float(v) for v in s))
 
 
 @dataclass(frozen=True)

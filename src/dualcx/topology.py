@@ -356,20 +356,8 @@ def _coface_paths(t: TriangulatedSet) -> dict[tuple[int, int], dict[tuple[int, i
     return paths
 
 
-def free_faces(x, alive: frozenset | None = None) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All (face, unique coface) pairs, incidence counted with multiplicity.
-
-    A facet g is free when the total number of ways any other facet runs
-    over g is exactly one; the unique incidence is then through a facet one
-    dimension up.  The dunce hat edge sits three times inside its one
-    triangle, so it is not free.
-    """
-    t = _as_tset(x)
-    t.validate()
-    paths = _coface_paths(t)
-    cells = [(d, i) for d in range(t.dimension + 1) for i in range(t.count(d))]
-    if alive is None:
-        alive = frozenset(cells)
+def _free_pairs(paths: dict, alive) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """(face, unique coface) pairs among the ``alive`` cells, sorted by face."""
     out = []
     for g in sorted(alive):
         total = 0
@@ -386,6 +374,20 @@ def free_faces(x, alive: frozenset | None = None) -> list[tuple[tuple[int, int],
         if total == 1 and witness is not None and witness[0] == g[0] + 1:
             out.append((g, witness))
     return out
+
+
+def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """All (face, unique coface) pairs, incidence counted with multiplicity.
+
+    A facet g is free when the total number of ways any other facet runs
+    over g is exactly one; the unique incidence is then through a facet one
+    dimension up.  The dunce hat edge sits three times inside its one
+    triangle, so it is not free.
+    """
+    t = _as_tset(x)
+    t.validate()
+    cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+    return _free_pairs(_coface_paths(t), cells)
 
 
 @dataclass(frozen=True)
@@ -423,24 +425,6 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     explored = 0
     over_budget = False
 
-    def pairs_of(alive: frozenset):
-        out = []
-        for g in sorted(alive):
-            total = 0
-            witness = None
-            for h in alive:
-                if h == g:
-                    continue
-                c = paths.get(h, {}).get(g, 0)
-                total += c
-                if c:
-                    witness = h
-                if total > 1:
-                    break
-            if total == 1 and witness is not None and witness[0] == g[0] + 1:
-                out.append((g, witness))
-        return out
-
     def search(alive: frozenset):
         nonlocal explored, over_budget
         if len(alive) == 1 and next(iter(alive))[0] == 0:
@@ -452,7 +436,7 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
         if explored > budget:
             over_budget = True
             return None
-        for g, f in pairs_of(alive):
+        for g, f in _free_pairs(paths, alive):
             sub = search(alive - {g, f})
             if sub is not None:
                 return [(g, f)] + sub

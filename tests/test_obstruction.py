@@ -227,7 +227,6 @@ def test_jacobian_rank_full_and_invariant():
     c = random_construct(11)
     jr = jacobian_rank(c)
     assert jr.rank == 4
-    assert jr.richardson_disagreement < 1e-4
     a = AffineMapPlane(((1.05, 0.1), (0.12j, 0.95)), (0.25, -0.15))
     moved = transport_construct(c, a)
     assert jacobian_rank(moved).rank == 4
@@ -278,12 +277,10 @@ def test_near_collinear_rank_degrades():
         jr = jacobian_rank(c2, tol=relaxed)
     except GuardError:
         return  # degeneration loud enough to trip the guards outright
-    degraded = (
-        jr.rank < 4
-        or jr.singular_values[-1] < 1e-2 * jr.singular_values[0]
-        or jr.richardson_disagreement > 1e-4
-    )
-    assert degraded, (jr.rank, jr.singular_values, jr.richardson_disagreement)
+    # the smallest singular value collapses against the unsheared construct
+    base_min = jacobian_rank(c, tol=relaxed).singular_values[-1]
+    degraded = jr.rank < 4 or jr.singular_values[-1] < 0.05 * base_min
+    assert degraded, (jr.rank, jr.singular_values, base_min)
 
 
 def test_off_divisor_stable_along_family():
