@@ -111,6 +111,11 @@ class TernaryCubic:
     def affine(self, x: complex, y: complex) -> complex:
         return self(x, y, 1.0)
 
+    def eval_many(self, x, y, w) -> np.ndarray:
+        """Values at arrays of points, term by term as ``__call__``."""
+        x, y, w = (np.asarray(v, dtype=complex) for v in (x, y, w))
+        return sum(c * x**a * y**b * w**g for c, (a, b, g) in zip(self.coef, MONOMIALS))
+
     def scaled(self, c: complex) -> "TernaryCubic":
         return TernaryCubic(self.coef * c)
 
@@ -188,6 +193,13 @@ class CubicMap:
         if abs(w) == 0.0:
             raise GuardError("point-at-infinity", "parameter maps to the line at infinity")
         return np.array([self.x(t) / w, self.y(t) / w], dtype=complex)
+
+    def affine_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The affine coordinates (x, y) at an array of parameters."""
+        w = self.w.eval_many(ts)
+        if np.any(w == 0.0):
+            raise GuardError("point-at-infinity", "parameter maps to the line at infinity")
+        return self.x.eval_many(ts) / w, self.y.eval_many(ts) / w
 
     def affine_derivative(self, t: complex) -> np.ndarray:
         w = self.w(t)
@@ -661,27 +673,23 @@ def omega(v: np.ndarray, w: np.ndarray) -> complex:
 def make_construct(
     p: NodalCubic,
     q: NodalCubic,
+    intersections: tuple[tuple[complex, complex], ...],
     n_index: int,
     b_param: complex,
     tol: Tolerances = DEFAULT_TOL,
     seed: int | None = None,
-    precomputed_intersections: tuple | None = None,
 ) -> Construct:
-    """Assemble and guard a construct.
+    """Assemble and guard a construct from a pair and ``intersect(p, q, tol)``.
 
     Guards (each one a named rejection): neither cubic through the other's
-    node; nine transverse intersections; the two nodes and the chosen
-    intersection not collinear; b off the special points; the tau-line
-    marks well separated so the reference fields stay nonzero where they
-    are evaluated.
-
-    ``precomputed_intersections`` skips the root solve when the caller has
-    already intersected exactly this pair (family rebuilds do).
+    node; the two nodes and the chosen intersection not collinear; b off
+    the special points; the tau-line marks well separated so the reference
+    fields stay nonzero where they are evaluated.  The nine transverse
+    intersections are guarded by ``intersect`` itself.
     """
-    inters = precomputed_intersections if precomputed_intersections is not None else intersect(p, q, tol)
     if not (0 <= n_index < 9):
         raise ValidationError("intersection index out of range")
-    t3, s3 = inters[n_index]
+    t3, s3 = intersections[n_index]
 
     p_n = p.node_point
     q_n = q.node_point
@@ -729,7 +737,7 @@ def make_construct(
                 raise GuardError("point-at-infinity", "a marked point sits near the line at infinity")
 
     return Construct(
-        p=p, q=q, intersections=inters, n_index=n_index, b_param=b_param,
+        p=p, q=q, intersections=intersections, n_index=n_index, b_param=b_param,
         phi=phi, n_p=n_p, n_q=n_q, tau_b=tau_b, seed=seed,
     )
 
@@ -822,7 +830,7 @@ def random_construct(seed: int, tol: Tolerances = DEFAULT_TOL, max_attempts: int
             for _ in range(6):
                 b = complex(rng.standard_normal() + 1j * rng.standard_normal()) * 1.1
                 try:
-                    return make_construct(p, q, n_index, b, tol, seed=seed)
+                    return make_construct(p, q, inters, n_index, b, tol, seed=seed)
                 except GuardError:
                     continue
     raise GuardError("sampling-exhausted", f"no valid construct after {max_attempts} attempts (seed {seed})")
@@ -933,44 +941,45 @@ def transport_cubic(cubic: NodalCubic, a: AffineMapPlane) -> NodalCubic:
     )
 
 
-def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, b2: complex, drift_tol: float, tol: Tolerances) -> Construct:
+# n_p and n_q are transported exactly; a rebuild that moves them more
+# than this (chordally) has re-identified the wrong intersection
+MARKS_DRIFT_TOL = 1e-8
+
+
+def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, n_expected: np.ndarray, tol: Tolerances) -> Construct:
+    """Re-intersect a moved pair and re-identify the chosen intersection.
+
+    ``n_expected`` is where the chosen intersection point must now lie.
+    The nearest image must be unambiguous and the marks must not drift.
+    """
     inters = intersect(p2, q2, tol)
-    n_old = c.n_point
-    dists = sorted((float(np.linalg.norm(p2.gamma.affine(t) - n_old)), k) for k, (t, _) in enumerate(inters))
+    dists = sorted((float(np.linalg.norm(p2.gamma.affine(t) - n_expected)), k) for k, (t, _) in enumerate(inters))
     best, kbest = dists[0]
-    if best > 1e-6 * max(1.0, float(np.linalg.norm(n_old))) or dists[1][0] < 10 * best:
+    if best > 1e-6 * max(1.0, float(np.linalg.norm(n_expected))) or dists[1][0] < 10 * best:
         raise GuardError("intersection-match", "could not re-identify the chosen intersection after the move")
-    out = make_construct(p2, q2, kbest, b2, tol, seed=c.seed, precomputed_intersections=inters)
-    if chordal(out.n_p, c.n_p) > drift_tol or chordal(out.n_q, c.n_q) > drift_tol:
-        raise GuardError("marks-drift", "n_p or n_q drifted along an affine family")
+    out = make_construct(p2, q2, inters, kbest, c.b_param, tol, seed=c.seed)
+    if chordal(out.n_p, c.n_p) > MARKS_DRIFT_TOL or chordal(out.n_q, c.n_q) > MARKS_DRIFT_TOL:
+        raise GuardError("marks-drift", "n_p or n_q drifted under the move")
     return out
 
 
 def affine_family(
-    c: Construct, direction: AffineFamilyDirection, eps: complex, drift_tol: float = 1e-8, tol: Tolerances = DEFAULT_TOL
+    c: Construct, direction: AffineFamilyDirection, eps: complex, tol: Tolerances = DEFAULT_TOL
 ) -> Construct:
     """Member of the affine family at parameter eps.
 
     Moves one cubic (and b with it when P moves), re-derives intersections
     and re-matches the chosen one by nearest image; n_p and n_q are
-    asserted unchanged up to drift_tol, since the identification point is
-    fixed and all special parameters transport with the curve.  Every
-    root solve and guard of the rebuild runs under ``tol``.
+    asserted unchanged up to MARKS_DRIFT_TOL, since the identification
+    point is fixed and all special parameters transport with the curve.
+    Every root solve and guard of the rebuild runs under ``tol``.
     """
     a = direction.map_at(eps)
     if direction.side == "Q":
-        return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.b_param, drift_tol, tol)
-    return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.b_param, drift_tol, tol)
+        return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.n_point, tol)
+    return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.n_point, tol)
 
 
-def transport_construct(c: Construct, a: AffineMapPlane) -> Construct:
+def transport_construct(c: Construct, a: AffineMapPlane, tol: Tolerances = DEFAULT_TOL) -> Construct:
     """Apply one affine map to the whole construct (both cubics and b)."""
-    p2 = transport_cubic(c.p, a)
-    q2 = transport_cubic(c.q, a)
-    inters = intersect(p2, q2)
-    n_new = a(c.n_point)
-    dists = sorted((float(np.linalg.norm(p2.gamma.affine(t) - n_new)), k) for k, (t, _) in enumerate(inters))
-    best, kbest = dists[0]
-    if best > 1e-6 * max(1.0, float(np.linalg.norm(n_new))):
-        raise GuardError("intersection-match", "intersection tracking failed under whole-plane transport")
-    return make_construct(p2, q2, kbest, c.b_param, seed=c.seed, precomputed_intersections=inters)
+    return _rebuild_after_move(c, transport_cubic(c.p, a), transport_cubic(c.q, a), a(c.n_point), tol)

@@ -388,6 +388,12 @@ class Mobius:
             return INF
         return (a * z + b) / den
 
+    def eval_many(self, zs) -> np.ndarray:
+        """Values at an array of finite points off the pole."""
+        (a, b), (c, d) = self.m
+        zs = np.asarray(zs, dtype=complex)
+        return (a * zs + b) / (c * zs + d)
+
     def inverse(self) -> "Mobius":
         (a, b), (c, d) = self.m
         return Mobius([[d, -b], [-c, a]])

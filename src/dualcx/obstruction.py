@@ -318,6 +318,16 @@ def _u_ratio_divisor(cubic: NodalCubic, tol: float) -> Divisor:
     return _v_scale_divisor(cubic) + _poly_div(num, tol) - _poly_div(den, tol)
 
 
+def _infinity_points(wdiv: Divisor) -> Divisor:
+    """Infinity points of a cubic from the divisor of its w coordinate:
+    the zeros of w, plus the infinite parameter when the degree drops."""
+    pts = [(z, m) for z, m in wdiv.points if m > 0]
+    deficit = 3 - sum(m for _, m in pts)
+    if deficit:
+        pts.append((INF, deficit))
+    return Divisor(pts)
+
+
 def _phi_pullback(div: Divisor, phi: Mobius) -> Divisor:
     inv = phi.inverse()
     return Divisor([(inv(z), m) for z, m in div.points])
@@ -359,35 +369,22 @@ def _section_divisor(c: Construct, tol: Tolerances) -> tuple[Divisor, dict]:
 
     fq_on_p = c.q.f.compose_map(c.p.gamma.x, c.p.gamma.y, c.p.gamma.w)
     fp_on_q = c.p.f.compose_map(c.q.gamma.x, c.q.gamma.y, c.q.gamma.w)
-    div_fq_p = _poly_div(fq_on_p, rt) - _poly_div(c.p.gamma.w, rt).scaled(3)
-    div_fp_q = _poly_div(fp_on_q, rt) - _poly_div(c.q.gamma.w, rt).scaled(3)
-    pieces["inv_fq_on_p"] = -div_fq_p
-    pieces["inv_fp_on_q_pulled"] = -_phi_pullback(div_fp_q, c.phi)
+    wdiv_p = _poly_div(c.p.gamma.w, rt)
+    wdiv_q = _poly_div(c.q.gamma.w, rt)
+    pieces["inv_fq_on_p"] = -(_poly_div(fq_on_p, rt) - wdiv_p.scaled(3))
+    pieces["inv_fp_on_q_pulled"] = -_phi_pullback(_poly_div(fp_on_q, rt) - wdiv_q.scaled(3), c.phi)
 
     pieces["conormal_p"] = _u_ratio_divisor(c.p, rt)
     pieces["conormal_q_pulled"] = _phi_pullback(_u_ratio_divisor(c.q, rt), c.phi)
 
-    # infinity points of the curve: zeros of the w coordinate, including the
-    # infinite parameter when the degree drops
-    wdiv_p = _poly_div(c.p.gamma.w, rt)
-    hp = [(z, mm) for z, mm in wdiv_p.points if mm > 0]
-    deficit = 3 - sum(mm for _, mm in hp)
-    if deficit:
-        hp.append((INF, deficit))
-    wdiv_q = _poly_div(c.q.gamma.w, rt)
-    hq = [(z, mm) for z, mm in wdiv_q.points if mm > 0]
-    deficit_q = 3 - sum(mm for _, mm in hq)
-    if deficit_q:
-        hq.append((INF, deficit_q))
-
     frame_p = Divisor([(c.t_p1, 1), (c.t_p2, 1), (c.b_param, 1)])
     frame_p = frame_p + Divisor([(t, 1) for k, (t, _) in enumerate(c.intersections) if k != c.n_index])
-    frame_p = frame_p + Divisor(hp).scaled(-3)
+    frame_p = frame_p + _infinity_points(wdiv_p).scaled(-3)
     pieces["frame_p"] = frame_p
 
     frame_q = Divisor([(c.s_q1, 1), (c.s_q2, 1)])
     frame_q = frame_q + Divisor([(s, 1) for k, (_, s) in enumerate(c.intersections) if k != c.n_index])
-    frame_q = frame_q + Divisor(hq).scaled(-3)
+    frame_q = frame_q + _infinity_points(wdiv_q).scaled(-3)
     pieces["frame_q_pulled"] = _phi_pullback(frame_q, c.phi)
 
     total = Divisor([])
@@ -418,49 +415,29 @@ def _build_h(off: Divisor) -> tuple[list[tuple[complex, int]], int]:
     return factors, -inf_off
 
 
-def _eval_h(factors: list[tuple[complex, int]], t: complex) -> complex:
-    out = 1.0 + 0.0j
-    for z, e in factors:
-        out *= (t - z) ** e
-    return out
+# The three 8-point rings around each mark, in one array: half offsets at
+# radius r and r/2 (the local order), integer offsets at r (the value).
+_RING_RADII = np.repeat([1.0, 0.5, 1.0], 8)
+_RING_OFFSETS = np.concatenate([np.arange(8) + 0.5, np.arange(8) + 0.5, np.arange(8)])
 
 
-def _ratio_fn(c: Construct, h_factors, t: complex) -> complex:
-    """R(t) / s(tau(t)): the correction factor, regular at the marks.
+def _ratio_on_ring(c: Construct, h_factors, center: complex, radius, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """s(tau) and R/s(tau) at the points center + radius exp(2 pi i k / 8), k in offsets.
 
-    R(t) = s s_b g h / (fQ|_P  phi^* fP|_Q) is the section scale itself,
-    vanishing_scale(tau(t), n_p) times this factor.
+    R = s s_b g h / (fQ|_P  phi^* fP|_Q) is the section scale itself; the
+    correction factor R/s is regular at the marks.  ``radius`` may be an
+    array matching ``offsets``, so several rings go in one array pass.
     """
-    tau = c.p.tau(t)
-    sb_val = (tau - 1.0) / (tau - c.tau_b)
-    g_val = (tau - c.n_p) / (tau - 1.0) ** 2
-    pt_p = c.p.gamma.affine(t)
-    fq = c.q.f.affine(complex(pt_p[0]), complex(pt_p[1]))
-    s_param = c.phi(t)
-    pt_q = c.q.gamma.affine(s_param)
-    fp = c.p.f.affine(complex(pt_q[0]), complex(pt_q[1]))
-    return sb_val * g_val * _eval_h(h_factors, t) / (fq * fp)
-
-
-def _circle_mean(f, center: complex, radius: float, points: int = 8) -> complex:
-    vals = []
-    for k in range(points):
-        z = center + radius * cmath.exp(2j * cmath.pi * k / points)
-        vals.append(f(z))
-    return complex(np.mean(np.asarray(vals, dtype=complex)))
-
-
-def _local_order(f, center: complex, radius: float) -> int:
-    """Order of vanishing from the scaling of |f| on two circles."""
-    def gm(r):
-        logs = []
-        for k in range(8):
-            z = center + r * cmath.exp(2j * cmath.pi * (k + 0.5) / 8)
-            logs.append(cmath.log(abs(f(z))).real)
-        return float(np.mean(logs))
-
-    slope = (gm(radius) - gm(radius / 2.0)) / cmath.log(2.0).real
-    return int(round(slope))
+    t = center + radius * np.exp(2j * np.pi * np.asarray(offsets, dtype=float) / 8.0)
+    tau = c.p.tau.eval_many(t)
+    h = np.ones_like(t)
+    for z, e in h_factors:
+        h = h * (t - z) ** e
+    fq = c.q.f.eval_many(*c.p.gamma.affine_many(t), 1.0)
+    fp = c.p.f.eval_many(*c.q.gamma.affine_many(c.phi.eval_many(t)), 1.0)
+    sb = (tau - 1.0) / (tau - c.tau_b)
+    g = (tau - c.n_p) / (tau - 1.0) ** 2
+    return vanishing_scale(tau, c.n_p), sb * g * h / (fq * fp)
 
 
 def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[JPoint, DirectReport, GluingTriple]:
@@ -488,7 +465,11 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
 
     # radius for local work: stay clear of every singularity of every factor
     # (the merged divisor is no guide here: cancelled pairs such as the
-    # intersection parameters drop out of it but remain poles of the scalar)
+    # intersection parameters drop out of it but remain poles of the scalar;
+    # points within the cluster radius are root-found copies of the mark).
+    # The order is the growth of mean log|R| from the half-offset ring at
+    # r/2 to the one at r, the value the trapezoidal mean of R/s on the
+    # integer-offset ring at r.
     all_pts = [c.b_param]
     for piece in pieces.values():
         all_pts += [z for z, _ in piece.points if not is_inf(z)]
@@ -496,13 +477,12 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     values = []
     rows = eval_main_rows(c)
     for i, mk in enumerate(marks):
-        dmin = min((abs(mk - z) for z in all_pts if abs(mk - z) > 1e-9), default=1.0)
+        dmin = min((abs(mk - z) for z in all_pts if abs(mk - z) > tol.cluster_radius), default=1.0)
         radius = max(1e-8, min(0.05, dmin / 30.0))
-        orders.append(
-            _local_order(lambda z: vanishing_scale(c.p.tau(z), c.n_p) * _ratio_fn(c, h_factors, z), mk, radius)
-        )
-        r_val = _circle_mean(lambda z: _ratio_fn(c, h_factors, z), mk, radius)
-        values.append(rows.values[i] * r_val)
+        scale, ratio = _ratio_on_ring(c, h_factors, mk, radius * _RING_RADII, _RING_OFFSETS)
+        log_abs = np.log(np.abs(scale * ratio))
+        orders.append(int(round((np.mean(log_abs[:8]) - np.mean(log_abs[8:16])) / np.log(2.0))))
+        values.append(rows.values[i] * complex(np.mean(ratio[16:])))
     if tuple(orders) != (1, 1, 1):
         raise GuardError("residual-divisor", f"local vanishing orders {tuple(orders)} differ from (1, 1, 1)")
     triple = GluingTriple(tuple(values), "direct-pipeline", c.n_p, c.n_q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .cubics import Construct, CubicMap, NodalCubic, make_construct, nodal_cubic
+from .cubics import Construct, CubicMap, NodalCubic, intersect, make_construct, nodal_cubic
 from .errors import ValidationError
 from .numerics import DEFAULT_TOL, Poly, Tolerances
 
@@ -74,5 +74,5 @@ def construct_from_json(text: str, tol: Tolerances = DEFAULT_TOL) -> Construct:
     p = _dec_cubic(data["P"], tol)
     q = _dec_cubic(data["Q"], tol)
     return make_construct(
-        p, q, int(data["intersection_index"]), _dec_complex(data["b"]), tol, seed=data.get("seed")
+        p, q, intersect(p, q, tol), int(data["intersection_index"]), _dec_complex(data["b"]), tol, seed=data.get("seed")
     )

@@ -314,20 +314,14 @@ def _matrix_rank_and_divisors(mat) -> tuple[int, list[int]]:
 def homology(x, reduced: bool = False) -> list[HomologyGroup]:
     """Integer homology in all degrees, via Smith normal form."""
     cc = chain_complex(x)
+    top = len(cc.ranks)
+    # boundaries[n] = (rank, divisors) of d_n, with d_0 and d_top zero
+    boundaries = [(0, [])] + [_matrix_rank_and_divisors(cc.boundary_matrix(n)) for n in range(1, top)] + [(0, [])]
     out = []
-    for n in range(len(cc.ranks)):
-        rank_n = cc.ranks[n]
-        if n == 0:
-            rank_dn = 0
-        else:
-            rank_dn, _ = _matrix_rank_and_divisors(cc.boundary_matrix(n))
-        if n + 1 < len(cc.ranks):
-            rank_dn1, divs = _matrix_rank_and_divisors(cc.boundary_matrix(n + 1))
-        else:
-            rank_dn1, divs = 0, []
-        betti = rank_n - rank_dn - rank_dn1
-        torsion = tuple(d for d in divs if d > 1)
-        out.append(HomologyGroup(betti, torsion))
+    for n in range(top):
+        rank_dn1, divs = boundaries[n + 1]
+        betti = cc.ranks[n] - boundaries[n][0] - rank_dn1
+        out.append(HomologyGroup(betti, tuple(d for d in divs if d > 1)))
     if reduced and out:
         out[0] = HomologyGroup(out[0].betti - 1, out[0].torsion)
     return out

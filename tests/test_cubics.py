@@ -233,11 +233,11 @@ def _nullspace(m):
 def test_construct_guards():
     c = random_construct(11)
     with pytest.raises(GuardError) as err:
-        make_construct(c.p, c.q, c.n_index, c.p.node[0])
+        make_construct(c.p, c.q, c.intersections, c.n_index, c.p.node[0])
     assert err.value.reason == "b-collision"
     # collinearity guard: raise the margin until the best configuration trips
     with pytest.raises(GuardError) as err2:
-        make_construct(c.p, c.q, c.n_index, c.b_param, DEFAULT_TOL.with_overrides(guard_margin=10.0))
+        make_construct(c.p, c.q, c.intersections, c.n_index, c.b_param, DEFAULT_TOL.with_overrides(guard_margin=10.0))
     assert err2.value.reason in ("collinear-markers", "node-on-curve")
 
 
@@ -311,6 +311,19 @@ def test_implicit_residual_invariant_on_samples():
         c = random_construct(seed)
         for cubic in (c.p, c.q):
             assert implicit_residual(cubic.gamma, cubic.f) < 1e-10
+
+
+def test_array_evaluators_match_the_scalar_ones():
+    # the direct pipeline evaluates its mark rings through the array forms;
+    # the scalar forms are the reference (same formulas, equal to rounding)
+    c = random_construct(11)
+    ts = 0.4 - 0.2j + 0.3 * np.exp(2j * np.pi * np.arange(8) / 8)
+    xs, ys = c.p.gamma.affine_many(ts)
+    assert np.allclose(np.stack([xs, ys], axis=1), [c.p.gamma.affine(t) for t in ts], rtol=1e-13, atol=0)
+    scale = c.q.f.norm() * max(1.0, float(np.max(np.abs([xs, ys])))) ** 3
+    fq = [c.q.f.affine(complex(x), complex(y)) for x, y in zip(xs, ys)]
+    assert np.allclose(c.q.f.eval_many(xs, ys, 1.0), fq, rtol=0, atol=1e-14 * scale)
+    assert np.allclose(c.phi.eval_many(ts), [c.phi(t) for t in ts], rtol=1e-13, atol=0)
 
 
 def test_node_swap_changes_tau_consistently():

@@ -172,6 +172,14 @@ def test_consistency_on_families():
         assert rep.deviation <= 1e-6, rep.deviation
 
 
+def test_consistency_when_a_root_copy_sits_next_to_a_mark():
+    # member 4 of this family puts root-found copies of the node preimage
+    # 3-4e-9 from marks p1 and p3; they are the mark itself, not a
+    # singularity that should shrink the local ring radius
+    rep = consistency_check(seeded_family(200_183, 5))
+    assert rep.deviation <= 1e-6, rep.deviation
+
+
 def test_consistency_single_member_and_drift_error():
     fam = seeded_family(7, 1)
     assert consistency_check(fam).deviation == 0.0
@@ -246,7 +254,7 @@ def test_near_collinear_rank_degrades():
     # squeeze the node of Q toward the line through the intersection and
     # the node of P by repeated moderate shears fixing that line pointwise;
     # the transversality that feeds the rank dies with the off-line distance
-    from dualcx.cubics import transport_cubic, make_construct
+    from dualcx.cubics import intersect, transport_cubic, make_construct
 
     c = random_construct(11)
     n_pt = c.n_point
@@ -265,7 +273,7 @@ def test_near_collinear_rank_degrades():
     for _ in range(4):
         try:
             q2 = transport_cubic(q2, shear)
-            c2 = make_construct(c.p, q2, c.n_index, c.b_param, relaxed)
+            c2 = make_construct(c.p, q2, intersect(c.p, q2, relaxed), c.n_index, c.b_param, relaxed)
         except GuardError:
             break
 
