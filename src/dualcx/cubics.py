@@ -980,6 +980,6 @@ def affine_family(
     return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.n_point, tol)
 
 
-def transport_construct(c: Construct, a: AffineMapPlane, tol: Tolerances = DEFAULT_TOL) -> Construct:
+def transport_construct(c: Construct, a: AffineMapPlane) -> Construct:
     """Apply one affine map to the whole construct (both cubics and b)."""
-    return _rebuild_after_move(c, transport_cubic(c.p, a), transport_cubic(c.q, a), a(c.n_point), tol)
+    return _rebuild_after_move(c, transport_cubic(c.p, a), transport_cubic(c.q, a), a(c.n_point), DEFAULT_TOL)

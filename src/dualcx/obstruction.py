@@ -70,6 +70,7 @@ from .numerics import (
     numerical_rank,
 )
 from .cubics import (
+    MARKS_DRIFT_TOL,
     Construct,
     NodalCubic,
     _partial_composed,
@@ -421,14 +422,14 @@ _RING_RADII = np.repeat([1.0, 0.5, 1.0], 8)
 _RING_OFFSETS = np.concatenate([np.arange(8) + 0.5, np.arange(8) + 0.5, np.arange(8)])
 
 
-def _ratio_on_ring(c: Construct, h_factors, center: complex, radius, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """s(tau) and R/s(tau) at the points center + radius exp(2 pi i k / 8), k in offsets.
+def _ratio_on_ring(c: Construct, h_factors, center: complex, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R on the half-offset rings at radius and radius/2, R/s(tau) on the integer-offset ring.
 
     R = s s_b g h / (fQ|_P  phi^* fP|_Q) is the section scale itself; the
-    correction factor R/s is regular at the marks.  ``radius`` may be an
-    array matching ``offsets``, so several rings go in one array pass.
+    correction factor R/s is regular at the marks.  All 24 ring points
+    go through in one array pass.
     """
-    t = center + radius * np.exp(2j * np.pi * np.asarray(offsets, dtype=float) / 8.0)
+    t = center + radius * _RING_RADII * np.exp(2j * np.pi * _RING_OFFSETS / 8.0)
     tau = c.p.tau.eval_many(t)
     h = np.ones_like(t)
     for z, e in h_factors:
@@ -437,7 +438,9 @@ def _ratio_on_ring(c: Construct, h_factors, center: complex, radius, offsets) ->
     fp = c.p.f.eval_many(*c.q.gamma.affine_many(c.phi.eval_many(t)), 1.0)
     sb = (tau - 1.0) / (tau - c.tau_b)
     g = (tau - c.n_p) / (tau - 1.0) ** 2
-    return vanishing_scale(tau, c.n_p), sb * g * h / (fq * fp)
+    ratio = sb * g * h / (fq * fp)
+    scale = vanishing_scale(tau, c.n_p) * ratio
+    return scale[:8], scale[8:16], ratio[16:]
 
 
 def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[JPoint, DirectReport, GluingTriple]:
@@ -466,7 +469,8 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     # radius for local work: stay clear of every singularity of every factor
     # (the merged divisor is no guide here: cancelled pairs such as the
     # intersection parameters drop out of it but remain poles of the scalar;
-    # points within the cluster radius are root-found copies of the mark).
+    # points within the cluster radius, chordally as in the divisor merge,
+    # are root-found copies of the mark).
     # The order is the growth of mean log|R| from the half-offset ring at
     # r/2 to the one at r, the value the trapezoidal mean of R/s on the
     # integer-offset ring at r.
@@ -477,12 +481,11 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     values = []
     rows = eval_main_rows(c)
     for i, mk in enumerate(marks):
-        dmin = min((abs(mk - z) for z in all_pts if abs(mk - z) > tol.cluster_radius), default=1.0)
+        dmin = min((abs(mk - z) for z in all_pts if chordal(mk, z) > tol.cluster_radius), default=1.0)
         radius = max(1e-8, min(0.05, dmin / 30.0))
-        scale, ratio = _ratio_on_ring(c, h_factors, mk, radius * _RING_RADII, _RING_OFFSETS)
-        log_abs = np.log(np.abs(scale * ratio))
-        orders.append(int(round((np.mean(log_abs[:8]) - np.mean(log_abs[8:16])) / np.log(2.0))))
-        values.append(rows.values[i] * complex(np.mean(ratio[16:])))
+        outer, inner, ratio = _ratio_on_ring(c, h_factors, mk, radius)
+        orders.append(int(round((np.mean(np.log(np.abs(outer))) - np.mean(np.log(np.abs(inner)))) / np.log(2.0))))
+        values.append(rows.values[i] * complex(np.mean(ratio)))
     if tuple(orders) != (1, 1, 1):
         raise GuardError("residual-divisor", f"local vanishing orders {tuple(orders)} differ from (1, 1, 1)")
     triple = GluingTriple(tuple(values), "direct-pipeline", c.n_p, c.n_q)
@@ -511,15 +514,15 @@ class ConsistencyReport:
 def consistency_check(constructs: list[Construct], tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Componentwise ratio of the two routes must be constant on the family.
 
-    All members must share (n_p, n_q) to within 1e-8; the report carries
-    the maximal relative deviation of the ratio pair against the first
-    member.
+    All members must share (n_p, n_q) to within MARKS_DRIFT_TOL; the
+    report carries the maximal relative deviation of the ratio pair
+    against the first member.
     """
     if not constructs:
         raise ValidationError("empty family")
     base = constructs[0]
     for member in constructs[1:]:
-        if chordal(member.n_p, base.n_p) > 1e-8 or chordal(member.n_q, base.n_q) > 1e-8:
+        if chordal(member.n_p, base.n_p) > MARKS_DRIFT_TOL or chordal(member.n_q, base.n_q) > MARKS_DRIFT_TOL:
             raise GuardError("marks-drift", "family members have drifting (n_p, n_q)")
     ratios = []
     for member in constructs:
