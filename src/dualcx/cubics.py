@@ -45,6 +45,7 @@ is cheap and silent perturbation would corrupt derivative tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -237,7 +238,7 @@ class CubicMap:
 # ---------------------------------------------------------------------------
 
 
-def implicitize(gamma: CubicMap, tol: float = 1e-8) -> TernaryCubic:
+def implicitize(gamma: CubicMap) -> TernaryCubic:
     """Cubic form vanishing on the image, by a nullspace fit.
 
     Twenty samples of the parametrization feed a 10-column monomial
@@ -263,14 +264,14 @@ def implicitize(gamma: CubicMap, tol: float = 1e-8) -> TernaryCubic:
         raise GuardError("degenerate-parametrization", "no cubic vanishes on the image")
     f = TernaryCubic(np.conj(vh[9]))
     check = implicit_residual(gamma, f)
-    if check > tol:
-        raise GuardError("implicitization-residual", f"fit residual {check:.2e} above {tol:.2e}")
+    if check > 1e-8:
+        raise GuardError("implicitization-residual", f"fit residual {check:.2e} above 1.00e-08")
     return f
 
 
-def implicit_residual(gamma: CubicMap, f: TernaryCubic, n_samples: int = 50) -> float:
-    """Largest normalized |f(gamma(t))| over held-out sample parameters."""
-    ts = 0.93 * np.exp(2j * np.pi * (np.arange(n_samples) + 0.41) / n_samples) - (0.11 + 0.23j)
+def implicit_residual(gamma: CubicMap, f: TernaryCubic) -> float:
+    """Largest normalized |f(gamma(t))| over 50 held-out sample parameters."""
+    ts = 0.93 * np.exp(2j * np.pi * (np.arange(50) + 0.41) / 50) - (0.11 + 0.23j)
     worst = 0.0
     fn = f.norm()
     for t in ts:
@@ -315,7 +316,7 @@ def _poly_matrix_det(mat: list[list[Poly]]) -> Poly:
     return out
 
 
-def find_node(gamma: CubicMap, tol: float = 1e-7) -> tuple[complex, complex]:
+def find_node(gamma: CubicMap) -> tuple[complex, complex]:
     """The unique double point parameters (u, v), u != v, of a 1-nodal cubic.
 
     Solved through the three divided-difference minors of the coordinate
@@ -351,11 +352,11 @@ def find_node(gamma: CubicMap, tol: float = 1e-7) -> tuple[complex, complex]:
             if quad.degree < 1:
                 continue
             for v in aberth_roots(quad, tol=1e-9):
-                if chordal(u, v) <= 10 * tol:
+                if chordal(u, v) <= 1e-6:
                     continue
                 gu, gv = gamma.hom(u), gamma.hom(v)
                 cross = np.linalg.norm(np.cross(gu, gv)) / (np.linalg.norm(gu) * np.linalg.norm(gv))
-                if cross <= tol:
+                if cross <= 1e-7:
                     pairs_found.append((u, v))
         if pairs_found:
             break
@@ -382,7 +383,7 @@ def find_node(gamma: CubicMap, tol: float = 1e-7) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
-def flexes(gamma: CubicMap, node: tuple[complex, complex] | None = None, tol: float = 1e-6) -> tuple[complex, complex, complex]:
+def flexes(gamma: CubicMap, node: tuple[complex, complex] | None = None) -> tuple[complex, complex, complex]:
     """The three smooth flex parameters (possibly including INF).
 
     Roots of the inflection form; when its degree drops below three the
@@ -401,17 +402,17 @@ def flexes(gamma: CubicMap, node: tuple[complex, complex] | None = None, tol: fl
         raise GuardError("flex-count", f"found {len(roots)} flex parameters")
     for i in range(3):
         for j in range(i + 1, 3):
-            if chordal(roots[i], roots[j]) <= tol:
+            if chordal(roots[i], roots[j]) <= 1e-6:
                 raise GuardError("flex-collision", "coincident flexes (non-generic cubic)")
     if node is not None:
         for r in roots:
             for u in node:
-                if chordal(r, u) <= tol:
+                if chordal(r, u) <= 1e-6:
                     raise GuardError("flex-collision", "flex collides with a node preimage")
     return tuple(roots)
 
 
-def choose_flex(flex_params, u1: complex, u2: complex, margin: float = 1e-9) -> tuple[complex, str]:
+def choose_flex(flex_params, u1: complex, u2: complex) -> tuple[complex, str]:
     """Deterministic flex selection (see the module docstring for the rule)."""
 
     def w_of(phi):
@@ -433,7 +434,7 @@ def choose_flex(flex_params, u1: complex, u2: complex, margin: float = 1e-9) -> 
         return (round(r.real, 9), round(r.imag, 9), w.real, w.imag)
 
     order = sorted(range(3), key=key)
-    if abs(ws[order[0]] - ws[order[1]]) <= margin:
+    if abs(ws[order[0]] - ws[order[1]]) <= 1e-9:
         raise GuardError("flex-choice-ambiguous", "tie in the flex selection invariant")
     return (
         flex_params[order[0]],
@@ -510,15 +511,21 @@ class NodalCubic:
     def node_point(self) -> np.ndarray:
         return self.gamma.affine(self.node[0])
 
-    def v_scale_poly(self) -> Poly:
+    @cached_property
+    def v_factor(self) -> Poly:
+        """L(t) = (a - c) t + (b - d) for tau = [[a, b], [c, d]], so V = L^2 / det(tau)."""
+        (a, b), (c, d) = self.tau.m
+        return Poly([b - d, a - c])
+
+    @cached_property
+    def v_scale(self) -> Poly:
         """V(t) with v = V(t) d/dt for the reference field (tau-1)^2 d/dtau."""
         (a, b), (c, d) = self.tau.m
-        det = a * d - b * c
-        return Poly([b - d, a - c]) ** 2 * (1.0 / det)
+        return self.v_factor ** 2 * (1.0 / (a * d - b * c))
 
     def vpush(self, t: complex) -> np.ndarray:
         """Pushforward of the reference field to the plane at parameter t."""
-        return complex(self.v_scale_poly()(t)) * self.gamma.affine_derivative(t)
+        return self.v_scale(t) * self.gamma.affine_derivative(t)
 
     def f_value(self, point: np.ndarray) -> complex:
         return self.f.affine(complex(point[0]), complex(point[1]))
@@ -805,10 +812,10 @@ def _random_nodal_cubic(rng: np.random.Generator, tol: Tolerances) -> NodalCubic
     raise GuardError("sampling-exhausted", "could not sample a generic nodal cubic")
 
 
-def random_construct(seed: int, tol: Tolerances = DEFAULT_TOL, max_attempts: int = 60) -> Construct:
+def random_construct(seed: int, tol: Tolerances = DEFAULT_TOL) -> Construct:
     """Rejection-sample a valid construct from a seeded generator."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(60):
         try:
             p = _random_nodal_cubic(rng, tol)
             q = _random_nodal_cubic(rng, tol)
@@ -833,7 +840,7 @@ def random_construct(seed: int, tol: Tolerances = DEFAULT_TOL, max_attempts: int
                     return make_construct(p, q, inters, n_index, b, tol, seed=seed)
                 except GuardError:
                     continue
-    raise GuardError("sampling-exhausted", f"no valid construct after {max_attempts} attempts (seed {seed})")
+    raise GuardError("sampling-exhausted", f"no valid construct after 60 attempts (seed {seed})")
 
 
 # ---------------------------------------------------------------------------

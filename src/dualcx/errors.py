@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the file-field decoder.
 
 The split matters for the command line tool, which maps these onto exit
 codes: usage and malformed-input problems exit 2, numeric guard rejections
@@ -33,3 +33,12 @@ class RootFindingError(DualcxError):
 
 class BudgetError(DualcxError):
     """A bounded search was invoked with a non-positive budget."""
+
+
+def decode_field(data, key: str, decode):
+    """``decode(data[key])`` for a parsed JSON file; a missing or malformed
+    field raises :class:`ValidationError` naming ``key``."""
+    try:
+        return decode(data[key])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"missing or malformed field {key!r} ({type(exc).__name__}: {exc})") from exc

@@ -13,7 +13,8 @@ Conventions fixed here and relied on everywhere else:
   backward error ``|p(z)| <= tol * sum |c_k| |z|^k`` is met; after one
   Aberth step it is returned at once when disjoint Weierstrass inclusion
   disks prove every root simple, and polished further otherwise.
-  Non-convergence raises, it is never silent.
+  Multiplicities are connected disk unions: k touching disks are one
+  k-fold root.  Non-convergence raises, it is never silent.
 * All default tolerances live in :class:`Tolerances` and may be overridden
   per call.
 """
@@ -61,8 +62,8 @@ class Tolerances:
     """Default numeric policy.
 
     root_residual : relative backward error accepted by the root finder.
-    cluster_radius : radius (chordal) used to merge root clusters and to
-        match divisor points.
+    cluster_radius : radius (chordal) used to merge and to match divisor
+        points.
     rank_tol : singular values below ``rank_tol * sigma_max`` count as zero.
     guard_margin : relative margin for genericity guards on constructs.
     """
@@ -184,51 +185,59 @@ def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
     return out
 
 
-def _isolated(pz: np.ndarray, scale: np.ndarray, an_abs: float, dist: np.ndarray) -> bool:
-    """Whether the Weierstrass disks ``|z - z_i| <= n |p(z_i) / (a_n prod_{j != i} (z_i - z_j))|`` are disjoint.
+def _peel_zeros(q: Poly) -> tuple[int, Poly]:
+    """(count of exact zero roots, the rest of ``q``) for a trimmed ``q``."""
+    k = 0
+    while k < q.degree and q.coef[k] == 0:
+        k += 1
+    return k, Poly(q.coef[k:])
 
-    A connected union of k such disks holds exactly k roots (Bini & Fiorentino,
-    Numer. Algorithms 2000), so disjoint disks isolate one simple root each.
-    ``|p(z_i)|`` is enlarged by the rounding bound of Horner's rule, so a
-    residual that rounds to zero proves nothing.  ``dist`` has a unit diagonal.
+
+def _disk_gaps(q: Poly, z: np.ndarray, qz: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Gaps ``|z_i - z_j| - r_i - r_j`` between the Weierstrass disks ``|z - z_i| <= r_i``.
+
+    ``r_i = n |q(z_i) / (a_n prod_{j != i} (z_i - z_j))|``.  A connected union
+    of k such disks holds exactly k roots (Bini & Fiorentino, Numer.
+    Algorithms 2000).  ``qz`` holds the values ``q(z_i)``; their moduli are
+    enlarged by the rounding bound of Horner's rule, ``4 n eps scale`` with
+    ``scale = sum |c_k| |z_i|^k``, so a residual that rounds to zero proves
+    nothing.  Only a positive gap proves two disks disjoint; an overflow
+    gives NaN, which does not.  The diagonal is 1.
     """
-    n = len(pz)
+    n = q.degree
+    dist = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(dist, 1.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        radius = n * (np.abs(pz) + 4 * n * np.finfo(float).eps * scale) / (an_abs * np.prod(dist, axis=1))
+        radius = n * (np.abs(qz) + 4 * n * np.finfo(float).eps * scale) / (abs(q.coef[-1]) * np.prod(dist, axis=1))
         gap = dist - radius[:, None] - radius[None, :]
     np.fill_diagonal(gap, 1.0)
-    return bool(np.all(gap > 0))
+    return gap
 
 
 def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list[complex]:
     """All complex roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
-    Returns a plain list of ``degree`` roots (multiplicities appear as
-    clusters; see :func:`poly_roots` for merged output).  The sweeps start
-    from the companion-matrix eigenvalues (Edelman & Murakami, Math. Comp.
-    1995).  Once every backward error is at most ``tol``, after at least one
-    Aberth step, disjoint Weierstrass disks return the roots at once, each
+    Returns a plain list of ``degree`` roots (a multiple root appears as a
+    cluster of approximants; :func:`poly_roots` merges each connected disk
+    union into one root).  The sweeps start from the companion-matrix
+    eigenvalues (Edelman & Murakami, Math. Comp. 1995).  Once every backward
+    error is at most ``tol``, after at least one Aberth step, disjoint
+    Weierstrass disks (:func:`_disk_gaps`) return the roots at once, each
     proven simple; otherwise clusters keep tightening until a step falls
     below ``1e-15`` relative or 48 polishing sweeps have run.  Without a
     certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
     """
     tol = DEFAULT_TOL.root_residual if tol is None else tol
     q = p.trim()
-    n = q.degree
-    if n < 1:
+    if q.degree < 1:
         raise ValidationError("root finding needs degree >= 1")
 
     # exact zero roots peel off first; improves conditioning of the rest
-    zero_mult = 0
-    c = q.coef
-    while zero_mult < n and c[zero_mult] == 0:
-        zero_mult += 1
+    zero_mult, q = _peel_zeros(q)
     roots: list[complex] = [0.0 + 0.0j] * zero_mult
-    if zero_mult:
-        q = Poly(c[zero_mult:])
-        n = q.degree
-        if n == 0:
-            return roots
+    n = q.degree
+    if n == 0:
+        return roots
 
     coef = q.coef
     an = coef[-1]
@@ -250,13 +259,11 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
         pz = q.eval_many(z)
         # the backward-error scale sum |c_k| |z|^k, by one Horner pass
         scale = np.maximum(np.polynomial.polynomial.polyval(np.abs(z), coef_abs), scale_floor)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
         converged = np.max(np.abs(pz) / scale) <= tol
         if converged:
             # eigenvalues carry the eigensolver's rounding (ulps off even for
             # t^2 - 1): they are returned only after one Aberth step
-            if sweep and _isolated(pz, scale, abs(an), np.abs(diff)):
+            if sweep and np.all(_disk_gaps(q, z, pz, scale) > 0):
                 return roots + [complex(v) for v in z]
             # keep iterating a while: clusters around multiple roots tighten
             # linearly after the backward-error target is already met
@@ -264,6 +271,8 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
             if polish > 48:
                 return roots + [complex(v) for v in z]
         dpz = dq.eval_many(z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
         # Newton correction with Aberth repulsion
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0.1j)
@@ -279,72 +288,33 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
         if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
             return roots + [complex(v) for v in nz]
         z = nz
-    raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {q.degree})")
+    raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {n})")
 
 
-def _merge_radius(size: int, base: float) -> float:
-    # an m-fold root computed in double precision scatters like eps**(1/m)
-    return max(base, 5.0 * (1e-14) ** (1.0 / size))
-
-
-def _largest_gap_split(points: list[complex]) -> tuple[list[complex], list[complex]]:
-    """Cut the complete chordal graph at the longest MST edge (Prim)."""
-    n = len(points)
-    in_tree = [0]
-    best_edge = (0.0, 0, 1)
-    dist = [(chordal(points[0], points[k]), 0) for k in range(n)]
-    edges = []
-    while len(in_tree) < n:
-        cand = min((dist[k][0], k) for k in range(n) if k not in in_tree)
-        d, k = cand
-        edges.append((d, dist[k][1], k))
-        in_tree.append(k)
-        for j in range(n):
-            if j not in in_tree and chordal(points[k], points[j]) < dist[j][0]:
-                dist[j] = (chordal(points[k], points[j]), k)
-    cut = max(edges)
-    # remove the cut edge; components of the remaining forest
-    adj = {k: set() for k in range(n)}
-    for d, a, b in edges:
-        if (d, a, b) != cut:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    left = [points[k] for k in range(n) if k in seen]
-    right = [points[k] for k in range(n) if k not in seen]
-    return left, right
-
-
-def _cluster_adaptive(points: list[complex], base: float) -> list[tuple[complex, int]]:
-    if len(points) == 1:
-        return [(points[0], 1)]
-    diam = max(chordal(a, b) for a in points for b in points)
-    if diam <= _merge_radius(len(points), base):
-        if any(is_inf(p) for p in points):
-            return [(INF, len(points))]
-        return [(complex(np.mean(np.asarray(points))), len(points))]
-    left, right = _largest_gap_split(points)
-    return _cluster_adaptive(left, base) + _cluster_adaptive(right, base)
-
-
-def poly_roots(p: Poly, tol: float | None = None, cluster_radius: float | None = None) -> list[tuple[complex, int]]:
+def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
     """Root multiset of ``p``: list of (root, multiplicity).
 
-    Clusters merge adaptively: a set of m approximants counts as one m-fold
-    root only when its diameter fits the ``eps**(1/m)`` accuracy an m-fold
-    root admits in double precision; otherwise it is split at the largest
-    single-linkage gap.
+    Exact zero roots come back as one root of their count.  The rest come
+    from :func:`aberth_roots`, one per connected disk union: k Weierstrass
+    disks that touch, directly or through others, are one k-fold root at
+    the mean of their centres, and a disk that touches no other is a simple
+    root at its approximant.
     """
-    base = DEFAULT_TOL.cluster_radius if cluster_radius is None else cluster_radius
-    raw = aberth_roots(p, tol=tol)
-    return _cluster_adaptive(raw, base)
+    zero_mult, q = _peel_zeros(p.trim())
+    out = [(0j, zero_mult)] if zero_mult else []
+    if zero_mult and q.degree == 0:
+        return out
+    z = np.asarray(aberth_roots(q, tol=tol))
+    scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(q.coef))
+    reach = ~(_disk_gaps(q, z, q.eval_many(z), scale) > 0)
+    np.fill_diagonal(reach, True)
+    # transitive closure of "touches" by repeated squaring: rows become groups
+    for _ in range(len(z).bit_length()):
+        reach = reach @ reach
+    # one group per first member, in the order of the approximants
+    for i in np.flatnonzero(reach.argmax(axis=1) == np.arange(len(z))):
+        out.append((complex(z[reach[i]].mean()), int(reach[i].sum())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +386,7 @@ class Mobius:
         return f"Mobius({np.array2string(self.m, precision=6)})"
 
 
-def mobius_from_triple(a: complex, b: complex, c: complex, tol: float = 1e-12) -> Mobius:
+def mobius_from_triple(a: complex, b: complex, c: complex) -> Mobius:
     """The Moebius map sending (a, b, c) to (0, INF, 1).
 
     Any one of the three points may be ``INF``.  Coincident inputs (in the
@@ -425,7 +395,7 @@ def mobius_from_triple(a: complex, b: complex, c: complex, tol: float = 1e-12) -
     pts = [a, b, c]
     for i in range(3):
         for j in range(i + 1, 3):
-            if chordal(pts[i], pts[j]) <= tol:
+            if chordal(pts[i], pts[j]) <= 1e-12:
                 raise ValidationError("mobius_from_triple needs pairwise distinct points")
     if is_inf(a):
         return Mobius([[0.0, c - b], [1.0, -b]])
@@ -518,9 +488,9 @@ def rational_divisor(num: Poly, den: Poly, tol: float | None = None, cluster_rad
         raise ValidationError("rational_divisor needs nonzero numerator and denominator")
     pts: list[tuple[complex, int]] = []
     if num.degree >= 1:
-        pts += [(z, m) for z, m in poly_roots(num, tol=tol, cluster_radius=cluster_radius)]
+        pts += poly_roots(num, tol=tol)
     if den.degree >= 1:
-        pts += [(z, -m) for z, m in poly_roots(den, tol=tol, cluster_radius=cluster_radius)]
+        pts += [(z, -m) for z, m in poly_roots(den, tol=tol)]
     pts.append((INF, den.degree - num.degree))
     div = Divisor(pts).merged(cluster_radius)
     if div.degree() != 0:

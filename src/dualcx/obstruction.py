@@ -136,12 +136,12 @@ def lambda_factors(c: Construct) -> tuple[complex, complex, complex]:
 
     which the tests check against this numeric route.
     """
-    vp = c.p.v_scale_poly()
-    vq = c.q.v_scale_poly()
+    vp = c.p.v_scale
+    vq = c.q.v_scale
     out = []
     for t, s in ((c.t_p3, c.s_q1), (c.t_p1, c.s_q2), (c.t_p2, c.s_q3)):
-        num = complex(vp(t)) * c.phi.derivative(t)
-        den = complex(vq(s))
+        num = vp(t) * c.phi.derivative(t)
+        den = vq(s)
         if abs(den) < 1e-12 or abs(num) < 1e-14:
             raise GuardError("reference-field-zero", "degenerate tangent comparison across the identification")
         out.append(num / den)
@@ -295,9 +295,8 @@ def _poly_div(p: Poly, tol: float) -> Divisor:
 
 
 def _v_scale_divisor(cubic: NodalCubic) -> Divisor:
-    """Divisor of V(t) = ((a-c) t + (b-d))^2 / det: double zero, double pole at infinity."""
-    (a, b), (cc, d) = cubic.tau.m
-    lin = Poly([b - d, a - cc]).trim()
+    """Divisor of V(t) = L(t)^2 / det: double zero, double pole at infinity."""
+    lin = cubic.v_factor.trim()
     if lin.degree == 0:
         return Divisor([])  # flex at the infinite parameter: zeros and poles cancel there
     root = -lin.coef[0] / lin.coef[1]
@@ -746,11 +745,11 @@ def surjectivity_scan(
 
 
 
-def _newton_to(f, jac, x0: np.ndarray, target: np.ndarray, tol: float, max_steps: int = 20) -> tuple[np.ndarray, bool, int, float]:
+def _newton_to(f, jac, x0: np.ndarray, target: np.ndarray, tol: float) -> tuple[np.ndarray, bool, int, float]:
     x = x0.copy()
     used = 0
     res = float("inf")
-    for _ in range(max_steps):
+    for _ in range(20):
         used += 1
         try:
             val = f(x)
@@ -781,13 +780,14 @@ def _newton_to(f, jac, x0: np.ndarray, target: np.ndarray, tol: float, max_steps
     return x, False, used, res
 
 
-def _continuation_solve(f, jac, target: np.ndarray, tol: float, max_total_iters: int = 400) -> tuple[np.ndarray, bool, int, float]:
+def _continuation_solve(f, jac, target: np.ndarray, tol: float) -> tuple[np.ndarray, bool, int, float]:
     """Walk the target in from zero, Newton-solving each stage.
 
     The map is locally invertible but a full-size step can leave the guard
     region; staging keeps every Newton start inside the basin.  The stage
     size adapts: it halves on failure and grows back on success.  Total
-    work is capped so unreachable targets fail in bounded time.
+    work is capped at 400 Newton steps so unreachable targets fail in
+    bounded time.
     """
     x = np.zeros(4)
     achieved = 0.0
@@ -798,7 +798,7 @@ def _continuation_solve(f, jac, target: np.ndarray, tol: float, max_total_iters:
         frac = min(1.0, achieved + stage)
         x_new, ok, used, res = _newton_to(f, jac, x, frac * target, tol)
         total_iters += used
-        if total_iters > max_total_iters:
+        if total_iters > 400:
             return x, False, total_iters, res
         if ok:
             x = x_new

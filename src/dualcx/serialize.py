@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .cubics import Construct, CubicMap, NodalCubic, intersect, make_construct, nodal_cubic
-from .errors import ValidationError
+from .errors import ValidationError, decode_field
 from .numerics import DEFAULT_TOL, Poly, Tolerances
 
 SCHEMA_VERSION = 1
@@ -25,7 +25,8 @@ def _enc_complex(z: complex) -> list[str]:
 
 
 def _dec_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    real, imag = pair
+    return complex(float(real), float(imag))
 
 
 def _enc_poly(p: Poly) -> list[list[str]]:
@@ -45,10 +46,10 @@ def _enc_cubic(c: NodalCubic) -> dict:
     }
 
 
-def _dec_cubic(data, tol: Tolerances) -> NodalCubic:
+def _dec_cubic(data) -> tuple[CubicMap, tuple[complex, complex]]:
     gamma = CubicMap(_dec_poly(data["x"]), _dec_poly(data["y"]), _dec_poly(data["w"]))
-    node = (_dec_complex(data["node"][0]), _dec_complex(data["node"][1]))
-    return nodal_cubic(gamma, node=node, tol=tol)
+    u, v = data["node"]
+    return gamma, (_dec_complex(u), _dec_complex(v))
 
 
 def construct_to_json(c: Construct) -> str:
@@ -69,10 +70,12 @@ def construct_from_json(text: str, tol: Tolerances = DEFAULT_TOL) -> Construct:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
-    if data.get("kind") != "construct" or data.get("schema") != SCHEMA_VERSION:
+    if not isinstance(data, dict) or data.get("kind") != "construct" or data.get("schema") != SCHEMA_VERSION:
         raise ValidationError("not a supported construct file")
-    p = _dec_cubic(data["P"], tol)
-    q = _dec_cubic(data["Q"], tol)
-    return make_construct(
-        p, q, intersect(p, q, tol), int(data["intersection_index"]), _dec_complex(data["b"]), tol, seed=data.get("seed")
-    )
+    p_map, p_node = decode_field(data, "P", _dec_cubic)
+    q_map, q_node = decode_field(data, "Q", _dec_cubic)
+    n_index = decode_field(data, "intersection_index", int)
+    b = decode_field(data, "b", _dec_complex)
+    p = nodal_cubic(p_map, node=p_node, tol=tol)
+    q = nodal_cubic(q_map, node=q_node, tol=tol)
+    return make_construct(p, q, intersect(p, q, tol), n_index, b, tol, seed=data.get("seed"))

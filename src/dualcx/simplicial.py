@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import ValidationError
+from .errors import ValidationError, decode_field
 
 SCHEMA_VERSION = 1
 
@@ -538,23 +538,33 @@ def complex_to_json(x) -> str:
     return json.dumps(x.to_json_dict(), sort_keys=True, indent=1)
 
 
+def _int_ids(values) -> tuple[int, ...]:
+    out = tuple(values)
+    if not all(isinstance(v, int) for v in out):
+        raise TypeError(f"non-integer id in {values!r}")
+    return out
+
+
+def _dec_attachment(pair) -> Attachment:
+    g, inj = pair
+    return _int_ids([g])[0], tuple(None if v == -1 else v for v in _int_ids(inj))
+
+
 def complex_from_json_dict(data: dict):
-    if data.get("schema") != SCHEMA_VERSION:
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise ValidationError("unsupported complex schema")
-    if data.get("kind") == "ssset":
-        faces = tuple(tuple(tuple(f) for f in level) for level in data["faces"])
-        out = SemiSimplicialSet(num_vertices=data["dims"][0] if data["dims"] else 0, faces=faces)
-    elif data.get("kind") == "tset":
-        attach = tuple(
-            tuple(
-                tuple((g, tuple(None if v == -1 else v for v in inj)) for g, inj in atts)
-                for atts in level
-            )
-            for level in data["attach"]
-        )
-        out = TriangulatedSet(num_vertices=data["dims"][0] if data["dims"] else 0, attach=attach)
-    else:
+    kind = data.get("kind")
+    if kind not in ("ssset", "tset"):
         raise ValidationError("unknown complex kind")
+    num_vertices = decode_field(data, "dims", lambda dims: _int_ids(dims)[0] if dims else 0)
+    if kind == "ssset":
+        faces = decode_field(data, "faces", lambda v: tuple(tuple(_int_ids(f) for f in level) for level in v))
+        out = SemiSimplicialSet(num_vertices=num_vertices, faces=faces)
+    else:
+        attach = decode_field(
+            data, "attach", lambda v: tuple(tuple(tuple(map(_dec_attachment, atts)) for atts in level) for level in v)
+        )
+        out = TriangulatedSet(num_vertices=num_vertices, attach=attach)
     out.validate()
     return out
 

@@ -15,6 +15,7 @@ All integer linear algebra is exact (Python integers, Smith normal form).
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -337,17 +338,12 @@ def euler_characteristic(x) -> int:
 
 
 def _coface_paths(t: TriangulatedSet) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    """paths[h][g] = number of slot subsets of facet h whose face is g."""
-    paths: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for d in range(1, t.dimension + 1):
-        for i in range(t.count(d)):
-            counts: dict[tuple[int, int], int] = {}
-            for size in range(1, d + 1):
-                for subset in combinations(range(d + 1), size):
-                    tgt = t.delete_slots(d, i, frozenset(subset))[:2]
-                    counts[tgt] = counts.get(tgt, 0) + 1
-            paths[(d, i)] = counts
-    return paths
+    """paths[h][g] = number of nonempty slot subsets of facet h whose face is g."""
+    return {
+        (d, i): Counter(face for slots, face in t.iterated_faces(d, i).items() if slots)
+        for d in range(1, t.dimension + 1)
+        for i in range(t.count(d))
+    }
 
 
 def _free_pairs(paths: dict, alive) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -614,7 +610,7 @@ def presentation(num_generators: int, relators) -> GroupPresentation:
     return GroupPresentation(num_generators, tuple(free_reduce(tuple(r)) for r in relators))
 
 
-def edge_path_presentation(x, basepoint: int = 0) -> GroupPresentation:
+def edge_path_presentation(x) -> GroupPresentation:
     """Edge-path presentation of the fundamental group of a 2-complex.
 
     Generators: edges off a breadth-first spanning tree (deterministic, by
@@ -635,13 +631,11 @@ def edge_path_presentation(x, basepoint: int = 0) -> GroupPresentation:
     tails = [t.attachment(1, e, 1)[0] for e in range(ne)]
     heads = [t.attachment(1, e, 0)[0] for e in range(ne)]
 
-    # BFS spanning tree from the basepoint, scanning edges by id
-    from collections import deque
-
+    # BFS spanning tree from vertex 0, scanning edges by id
     in_tree = [False] * ne
     visited = [False] * nv
-    visited[basepoint] = True
-    queue = deque([basepoint])
+    visited[0] = True
+    queue = deque([0])
     while queue:
         u = queue.popleft()
         for e in range(ne):

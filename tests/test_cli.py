@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dualcx.cli import main
 
 
@@ -61,6 +63,34 @@ def test_guard_rejection_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "cubic", "validate", str(bad))
     assert code == 3
     assert "rejected" in err
+
+
+CIRCLE = {"kind": "ssset", "schema": 1, "dims": [1, 1], "faces": [[[0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "command, field, edit",
+    [
+        ("obs data", "P", lambda d: d.pop("P")),
+        ("obs data", "intersection_index", lambda d: d.update(intersection_index="x")),
+        ("obs data", "b", lambda d: d.update(b=[1])),
+        ("topo homology", "faces", lambda d: d.update(faces=[[["a", "0"]]])),
+        ("topo homology", "faces", lambda d: d.pop("faces")),
+    ],
+    ids=["no-P", "string-index", "short-b", "string-face-id", "no-faces"],
+)
+def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
+    if command == "obs data":
+        run(capsys, "cubic", "random", "--seed", "6", "--out", str(tmp_path / "c.json"))
+        data = json.loads((tmp_path / "c.json").read_text())
+    else:
+        data = json.loads(json.dumps(CIRCLE))
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, *command.split(), str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and repr(field) in err
 
 
 def test_construct_round_trip_and_obs_data(capsys, tmp_path):

@@ -89,9 +89,11 @@ def test_triple_roots_stay_clustered():
         assert min((abs(z - want), m) for z, m in roots)[1] == mult
 
 
-def test_seeded_multiplicities_come_back_exactly():
-    # distinct roots at least 0.5 apart, multiplicities 1-3, total degree <= 9
-    rng = np.random.default_rng(2024)
+@pytest.mark.parametrize("seed, scale", [(2024, 1.5), (2, 1.0), (3, 1.0), (9, 1.0)])
+def test_seeded_multiplicities_come_back_exactly(seed, scale):
+    # distinct roots at least 0.5 apart, multiplicities 1-3, total degree <= 9;
+    # at scale 1.0 seeds 2, 3 and 9 hold ill-conditioned double roots near triple ones
+    rng = np.random.default_rng(seed)
     for _ in range(300):
         mults = []
         while True:
@@ -102,7 +104,7 @@ def test_seeded_multiplicities_come_back_exactly():
             if rng.random() < 0.25:
                 break
         while True:
-            want = 1.5 * (rng.standard_normal(len(mults)) + 1j * rng.standard_normal(len(mults)))
+            want = scale * (rng.standard_normal(len(mults)) + 1j * rng.standard_normal(len(mults)))
             if all(abs(x - y) >= 0.5 for i, x in enumerate(want) for y in want[i + 1:]):
                 break
         lead = complex(rng.standard_normal(), rng.standard_normal())
@@ -111,6 +113,11 @@ def test_seeded_multiplicities_come_back_exactly():
         for r, m in zip(want, mults):
             dist, mult = min((abs(z - r), k) for z, k in got)
             assert dist < 1e-3 and mult == m
+
+
+def test_exact_zero_roots_come_back_as_one_root():
+    assert sorted_roots(poly_roots(poly_from_roots([0, 0, 1]))) == [((0.0, 0.0), 2), ((1.0, 0.0), 1)]
+    assert sorted_roots(poly_roots(Poly([0, 0, 1, 1]))) == [((-1.0, 0.0), 1), ((0.0, 0.0), 2)]
 
 
 def test_failed_eigensolve_is_loud():
