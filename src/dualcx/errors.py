@@ -35,6 +35,15 @@ class BudgetError(DualcxError):
     """A bounded search was invoked with a non-positive budget."""
 
 
+def int_tuple(values) -> tuple[int, ...]:
+    """The values as a tuple of integers; a non-integer raises ``TypeError``
+    (a float is never truncated), for use inside :func:`decode_field`."""
+    out = tuple(values)
+    if not all(isinstance(v, int) for v in out):
+        raise TypeError(f"non-integer value in {values!r}")
+    return out
+
+
 def decode_field(data, key: str, decode):
     """``decode(data[key])`` for a parsed JSON file; a missing or malformed
     field raises :class:`ValidationError` naming ``key``."""

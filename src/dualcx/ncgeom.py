@@ -28,8 +28,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardError, ValidationError
-from .simplicial import TriangulatedSet
+from .errors import GuardError, ValidationError, decode_field
+from .simplicial import TriangulatedSet, _dec_attachment
 from .topology import edge_path_presentation, smith_normal_form, tietze_trivialize
 
 SCHEMA_VERSION = 1
@@ -144,27 +144,21 @@ class NCSurfaceDescription:
         }
 
 
+def _dec_stratum(d: dict) -> Stratum:
+    return Stratum(
+        branches=d["branches"],
+        branch_trivial=d.get("branch_trivial", True),
+        attach=tuple(map(_dec_attachment, d.get("attach", []))),
+        chi_normalization=d.get("chi_normalization"),
+        normal_degrees=tuple(d["normal_degrees"]) if "normal_degrees" in d else None,
+        triple_count=d.get("triple_count"),
+    )
+
+
 def ncsurf_from_json_dict(data: dict) -> NCSurfaceDescription:
-    if data.get("kind") != "ncsurf" or data.get("schema") != SCHEMA_VERSION:
+    if not isinstance(data, dict) or data.get("kind") != "ncsurf" or data.get("schema") != SCHEMA_VERSION:
         raise ValidationError("not a supported surface description file")
-    levels = []
-    for level in data["strata"]:
-        sts = []
-        for d in level:
-            attach = tuple(
-                (tgt, tuple(None if v == -1 else v for v in inj)) for tgt, inj in d.get("attach", [])
-            )
-            sts.append(
-                Stratum(
-                    branches=d["branches"],
-                    branch_trivial=d.get("branch_trivial", True),
-                    attach=attach,
-                    chi_normalization=d.get("chi_normalization"),
-                    normal_degrees=tuple(d["normal_degrees"]) if "normal_degrees" in d else None,
-                    triple_count=d.get("triple_count"),
-                )
-            )
-        levels.append(tuple(sts))
+    levels = decode_field(data, "strata", lambda v: [tuple(map(_dec_stratum, level)) for level in v])
     while len(levels) < 3:
         levels.append(tuple())
     out = NCSurfaceDescription(strata=(levels[0], levels[1], levels[2]), name=data.get("name", ""))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .cubics import Construct, CubicMap, NodalCubic, intersect, make_construct, nodal_cubic
-from .errors import ValidationError, decode_field
+from .errors import ValidationError, decode_field, int_tuple
 from .numerics import DEFAULT_TOL, Poly, Tolerances
 
 SCHEMA_VERSION = 1
@@ -74,7 +74,7 @@ def construct_from_json(text: str, tol: Tolerances = DEFAULT_TOL) -> Construct:
         raise ValidationError("not a supported construct file")
     p_map, p_node = decode_field(data, "P", _dec_cubic)
     q_map, q_node = decode_field(data, "Q", _dec_cubic)
-    n_index = decode_field(data, "intersection_index", int)
+    n_index = decode_field(data, "intersection_index", lambda v: int_tuple([v])[0])
     b = decode_field(data, "b", _dec_complex)
     p = nodal_cubic(p_map, node=p_node, tol=tol)
     q = nodal_cubic(q_map, node=q_node, tol=tol)

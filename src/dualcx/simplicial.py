@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from .errors import ValidationError, decode_field
+from .errors import ValidationError, decode_field, int_tuple
 
 SCHEMA_VERSION = 1
 
@@ -382,41 +382,35 @@ def has_semisimplicial_lift(t: TriangulatedSet) -> bool:
     """Whether the triangulated set is isomorphic to p(S) for some S.
 
     Equivalent to choosing one ordering of the slots of every reduced facet
-    so that every attachment is order preserving.  Searched exhaustively;
-    intended for desk-scale complexes.
+    so that every attachment is order preserving.  Searched exhaustively,
+    lowest dimension first; intended for desk-scale complexes.
     """
     t.validate()
     facets = [(d, i) for d in range(t.dimension + 1) for i in range(t.count(d))]
-    orders: dict[tuple[int, int], tuple[int, ...]] = {}
+    return _lift_search(t, facets, {}, 0)
 
-    def consistent(d: int, i: int) -> bool:
-        if d == 0:
-            return True
-        order = orders[(d, i)]
-        for k in range(d + 1):
-            g, inj = t.attachment(d, i, k)
-            if (d - 1, g) not in orders:
-                continue
-            induced = tuple(inj[j] for j in order if j != k)
-            if induced != orders[(d - 1, g)]:
-                return False
+
+def _lift_search(t: TriangulatedSet, facets: list, orders: dict, pos: int) -> bool:
+    """Extend the slot orderings of ``facets[:pos]`` to all of ``facets``."""
+    if pos == len(facets):
         return True
-
-    def search(pos: int) -> bool:
-        if pos == len(facets):
+    d, i = facets[pos]
+    for perm in permutations(range(d + 1)):
+        orders[(d, i)] = perm
+        if _order_preserving(t, orders, d, i) and _lift_search(t, facets, orders, pos + 1):
             return True
-        d, i = facets[pos]
-        for perm in permutations(range(d + 1)):
-            orders[(d, i)] = perm
-            if consistent(d, i) and all(
-                consistent(dd, ii) for (dd, ii) in facets[:pos] if dd == d + 1
-            ):
-                if search(pos + 1):
-                    return True
-        del orders[(d, i)]
-        return False
+    del orders[(d, i)]
+    return False
 
-    return search(0)
+
+def _order_preserving(t: TriangulatedSet, orders: dict, d: int, i: int) -> bool:
+    """Whether facet (d, i)'s ordering induces its ordered faces' orderings."""
+    order = orders[(d, i)]
+    for k in range(d + 1 if d else 0):
+        g, inj = t.attachment(d, i, k)
+        if (d - 1, g) in orders and tuple(inj[j] for j in order if j != k) != orders[(d - 1, g)]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +460,7 @@ def is_strictly_simple(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing (backtracking)
+# isomorphism testing (top-down backtracking)
 # ---------------------------------------------------------------------------
 
 
@@ -474,59 +468,119 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     """Exact isomorphism of triangulated sets, by backtracking search.
 
     An isomorphism is a dimension-preserving bijection of reduced facets
-    plus a slot bijection per facet commuting with all attachments.
-    Intended for the small complexes this library manipulates.
+    plus a slot bijection per facet commuting with all attachments.  Only
+    the maximal facets (faces of no other facet) are chosen, top dimension
+    first: an image and slot bijection for a facet fixes those of all its
+    faces through the attachments, and a clash means backtracking.  Each
+    next facet shares a face with those already mapped, so its candidates
+    are the unused maximal facets over that face's image (McKay and
+    Piperno, *Practical graph isomorphism, II*, 2014, without refinement).
     """
     t1.validate()
     t2.validate()
     if t1.counts() != t2.counts():
         return False
-    dims = t1.dimension
-
+    order = _anchored_order(_closures(t1))
+    up2 = _cofaces(_closures(t2))
     facet_map: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-
-    def attach_ok(d: int, i: int) -> bool:
-        if d == 0:
-            return True
-        img, perm = facet_map[(d, i)]
-        for k in range(d + 1):
-            g, inj = t1.attachment(d, i, k)
-            if (d - 1, g) not in facet_map:
-                continue
-            g_img, g_perm = facet_map[(d - 1, g)]
-            g2, inj2 = t2.attachment(d, img, perm[k])
-            if g2 != g_img:
+    used: set[tuple[int, int]] = set()
+    # depth first over ``order``: one candidate iterator per level, and per
+    # accepted candidate the facets it mapped, undone on backtracking
+    levels: list = []
+    trails: list[list[tuple[int, int]]] = []
+    while len(trails) < len(order):
+        if len(levels) == len(trails):
+            (d, _), anchor = order[len(trails)]
+            if anchor is None:
+                pool = [(d, i) for i in range(t2.count(d))]
+            else:
+                pool = up2.get((anchor[0], facet_map[anchor][0]), ())
+            images = [i for dd, i in pool if dd == d and (d, i) not in used and (d, i) not in up2]
+            levels.append(product(images, permutations(range(d + 1))))
+        for img, perm in levels[-1]:
+            trail = _map_closure(t1, t2, facet_map, used, order[len(trails)][0], img, perm)
+            if trail is not None:
+                trails.append(trail)
+                break
+        else:
+            levels.pop()
+            if not trails:
                 return False
-            for j in range(d + 1):
-                if j == k:
-                    continue
-                if inj2[perm[j]] != g_perm[inj[j]]:
-                    return False
-        return True
+            _unmap(facet_map, used, trails.pop())
+    return True
 
-    order = [(d, i) for d in range(dims + 1) for i in range(t1.count(d))]
 
-    def search(pos: int, used: list[set[int]]) -> bool:
-        if pos == len(order):
-            return True
-        d, i = order[pos]
-        for img in range(t2.count(d)):
-            if img in used[d]:
+def _closures(t: TriangulatedSet) -> dict[tuple[int, int], set[tuple[int, int]]]:
+    """Every facet's iterated faces, itself included."""
+    out = {(0, i): {(0, i)} for i in range(t.num_vertices)}
+    for d in range(1, t.dimension + 1):
+        for i, atts in enumerate(t.attach[d - 1]):
+            out[(d, i)] = {(d, i)}.union(*(out[(d - 1, g)] for g, _ in atts))
+    return out
+
+
+def _cofaces(closures: dict) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """For each facet that is a face of others, the facets over it, in any codimension."""
+    up: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for facet, faces in closures.items():
+        for face in faces - {facet}:
+            up.setdefault(face, []).append(facet)
+    return up
+
+
+def _anchored_order(closures: dict) -> list:
+    """The maximal facets in search order, each with an anchor.
+
+    The anchor is the highest-dimensional face the facet shares with the
+    facets before it, or None when it shares none.  Facets with the
+    highest-dimensional anchor go first, then higher dimensions, then ids.
+    """
+    up = _cofaces(closures)
+    closures = {f: closures[f] for f in sorted(closures, key=lambda f: (-f[0], f[1])) if f not in up}
+    covered: set[tuple[int, int]] = set()
+    order = []
+    while closures:
+        anchor, facet = max(
+            ((max(faces & covered, default=None), f) for f, faces in closures.items()),
+            key=lambda af: -1 if af[0] is None else af[0][0],
+        )
+        covered |= closures.pop(facet)
+        order.append((facet, anchor))
+    return order
+
+
+def _map_closure(t1, t2, facet_map: dict, used: set, facet, img: int, perm: tuple):
+    """Map ``facet`` to (img, perm) and every face to what the attachments force.
+
+    Returns the facets newly mapped, or None, with nothing left mapped, when
+    a forced image clashes with an earlier one or is used twice.
+    """
+    trail: list[tuple[int, int]] = []
+    todo = [(facet, img, perm)]
+    while todo:
+        (d, i), img, perm = todo.pop()
+        if (d, i) in facet_map or (d, img) in used:
+            if facet_map.get((d, i)) == (img, perm):
                 continue
-            for perm in permutations(range(d + 1)):
-                facet_map[(d, i)] = (img, perm)
-                ok = attach_ok(d, i) and all(
-                    attach_ok(dd, ii) for (dd, ii) in order[:pos] if dd == d + 1
-                )
-                if ok:
-                    used[d].add(img)
-                    if search(pos + 1, used):
-                        return True
-                    used[d].discard(img)
-                del facet_map[(d, i)]
-        return False
+            _unmap(facet_map, used, trail)
+            return None
+        facet_map[(d, i)] = (img, perm)
+        used.add((d, img))
+        trail.append((d, i))
+        for k in range(d + 1 if d else 0):
+            g, inj = t1.attachment(d, i, k)
+            g2, inj2 = t2.attachment(d, img, perm[k])
+            g_perm = [0] * d
+            for j in range(d + 1):
+                if j != k:
+                    g_perm[inj[j]] = inj2[perm[j]]
+            todo.append(((d - 1, g), g2, tuple(g_perm)))
+    return trail
 
-    return search(0, [set() for _ in range(dims + 1)])
+
+def _unmap(facet_map: dict, used: set, trail) -> None:
+    for d, i in trail:
+        used.discard((d, facet_map.pop((d, i))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +592,9 @@ def complex_to_json(x) -> str:
     return json.dumps(x.to_json_dict(), sort_keys=True, indent=1)
 
 
-def _int_ids(values) -> tuple[int, ...]:
-    out = tuple(values)
-    if not all(isinstance(v, int) for v in out):
-        raise TypeError(f"non-integer id in {values!r}")
-    return out
-
-
 def _dec_attachment(pair) -> Attachment:
     g, inj = pair
-    return _int_ids([g])[0], tuple(None if v == -1 else v for v in _int_ids(inj))
+    return int_tuple([g])[0], tuple(None if v == -1 else v for v in int_tuple(inj))
 
 
 def complex_from_json_dict(data: dict):
@@ -556,9 +603,9 @@ def complex_from_json_dict(data: dict):
     kind = data.get("kind")
     if kind not in ("ssset", "tset"):
         raise ValidationError("unknown complex kind")
-    num_vertices = decode_field(data, "dims", lambda dims: _int_ids(dims)[0] if dims else 0)
+    num_vertices = decode_field(data, "dims", lambda dims: int_tuple(dims)[0] if dims else 0)
     if kind == "ssset":
-        faces = decode_field(data, "faces", lambda v: tuple(tuple(_int_ids(f) for f in level) for level in v))
+        faces = decode_field(data, "faces", lambda v: tuple(tuple(int_tuple(f) for f in level) for level in v))
         out = SemiSimplicialSet(num_vertices=num_vertices, faces=faces)
     else:
         attach = decode_field(

@@ -15,6 +15,7 @@ All integer linear algebra is exact (Python integers, Smith normal form).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,34 +413,35 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     start = frozenset(cells)
 
     seen: set[frozenset] = set()
-    explored = 0
-    over_budget = False
-
-    def search(alive: frozenset):
-        nonlocal explored, over_budget
-        if len(alive) == 1 and next(iter(alive))[0] == 0:
-            return []
-        if alive in seen:
-            return None
-        seen.add(alive)
-        explored += 1
-        if explored > budget:
-            over_budget = True
-            return None
-        for g, f in _free_pairs(paths, alive):
-            sub = search(alive - {g, f})
-            if sub is not None:
-                return [(g, f)] + sub
-            if over_budget:
-                return None
-        return None
-
-    cert = search(start)
+    cert = _collapse_search(paths, start, seen, budget)
+    explored = len(seen)
     if cert is not None:
         return CollapseResult("collapsible", tuple(cert), explored, exhausted=False)
-    if over_budget:
+    if explored > budget:
         return CollapseResult("inconclusive", None, explored, exhausted=False)
     return CollapseResult("non_collapsible", None, explored, exhausted=True)
+
+
+def _collapse_search(paths: dict, alive: frozenset, seen: set, budget: int):
+    """The least collapse sequence from ``alive`` to a vertex, or None.
+
+    ``seen`` holds every state entered so far, so its size is the explored
+    count; past ``budget`` states the search unwinds with None.
+    """
+    if len(alive) == 1 and next(iter(alive))[0] == 0:
+        return []
+    if alive in seen:
+        return None
+    seen.add(alive)
+    if len(seen) > budget:
+        return None
+    for g, f in _free_pairs(paths, alive):
+        sub = _collapse_search(paths, alive - {g, f}, seen, budget)
+        if sub is not None:
+            return [(g, f)] + sub
+        if len(seen) > budget:
+            return None
+    return None
 
 
 def replay_collapse(x, certificate) -> bool:
@@ -689,7 +691,7 @@ class TietzeResult:
 
 
 def _substitute(rel: tuple[int, ...], gen: int, value: tuple[int, ...]) -> tuple[int, ...]:
-    inv = tuple(-x for x in reversed(value))
+    inv = _inverse(value)
     out: list[int] = []
     for x in rel:
         if x == gen:
@@ -725,10 +727,38 @@ def _canonical(p: GroupPresentation):
 
 def _rotations(word: tuple[int, ...]):
     outs = []
-    for w in (word, tuple(-x for x in reversed(word))):
+    for w in (word, _inverse(word)):
         for k in range(max(1, len(w))):
             outs.append(w[k:] + w[:k])
     return outs
+
+
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(word))
+
+
+def _eliminations(p: GroupPresentation):
+    """(relator, gen, value) for each generator occurring exactly once in a
+    relator, with the value the relator forces; relators by length, then
+    generators in order."""
+    for rel in sorted(p.relators, key=len):
+        once = {g for g, n in Counter(map(abs, rel)).items() if n == 1}
+        for k in sorted(range(len(rel)), key=lambda k: abs(rel[k])):
+            if abs(rel[k]) in once:
+                rest = rel[k + 1 :] + rel[:k]
+                yield rel, abs(rel[k]), _inverse(rest) if rel[k] > 0 else rest
+
+
+def _greedy_elimination(p: GroupPresentation):
+    """The elimination from a shortest relator with the least length growth,
+    or None.  The growth is estimated before free reduction: each other
+    occurrence of the generator grows by ``len(rel) - 2``, the relator goes."""
+    counts = Counter(abs(x) for rel in p.relators for x in rel)
+    return min(
+        _eliminations(p),
+        key=lambda e: (len(e[0]), (counts[e[1]] - 1) * (len(e[0]) - 2) - len(e[0])),
+        default=None,
+    )
 
 
 def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeResult:
@@ -736,9 +766,15 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
 
     Nontrivial abelianization short-circuits to 'inconclusive' (the group
     is then provably nontrivial, which the reason records).  Otherwise a
-    shortest-first search over generator eliminations and relator
-    rewritings runs until the empty presentation is reached or the budget
-    is exhausted.  The move log is replayable.
+    greedy pass in the style of Havas, Kenne, Richardson and Robertson
+    (*A Tietze transformation program*, 1984) eliminates, while it can, a
+    generator occurring exactly once in a shortest relator.  A
+    shortest-first search over generator eliminations and relator products
+    then runs from where the greedy pass stopped, with its moves as the
+    log prefix, until the empty presentation is reached or the budget is
+    exhausted.  Each greedy move counts as one explored state, as does each
+    presentation the search expands, the final empty one included.  The
+    move log replays through :func:`replay_tietze`.
     """
     if budget <= 0:
         raise BudgetError("tietze search needs a positive budget")
@@ -746,13 +782,16 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
     if not ab.is_trivial():
         return TietzeResult("inconclusive", None, f"abelianization is {ab}, group is nontrivial")
 
-    start = GroupPresentation(p.num_generators, tuple(cyclic_reduce(r) for r in p.relators if cyclic_reduce(r)))
+    start = _start_presentation(p)
+    greedy = []
+    while (best := _greedy_elimination(start)) is not None:
+        _, gen, value = best
+        start = _drop_generator(start, gen, value)
+        greedy.append(("eliminate", gen, value))
     seen = set()
-    explored = 0
+    explored = len(greedy)
     # priority queue on (total length, generators)
-    import heapq
-
-    heap = [(sum(map(len, start.relators)) + start.num_generators, 0, start, [])]
+    heap = [(sum(map(len, start.relators)) + start.num_generators, 0, start, greedy)]
     counter = 1
     while heap:
         _, _, cur, moves = heapq.heappop(heap)
@@ -766,34 +805,10 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
         if cur.num_generators == 0:
             return TietzeResult("trivial", tuple(moves), "reached the empty presentation", explored)
 
-        candidates = []
-        # eliminate a generator occurring exactly once in some relator
-        for ri, rel in enumerate(sorted(cur.relators, key=len)):
-            for gen in range(1, cur.num_generators + 1):
-                occurrences = [k for k, x in enumerate(rel) if abs(x) == gen]
-                if len(occurrences) == 1:
-                    k = occurrences[0]
-                    sign = 1 if rel[k] > 0 else -1
-                    rest = rel[k + 1 :] + rel[:k]
-                    value = tuple(-x for x in reversed(rest)) if sign > 0 else rest
-                    nxt = _drop_generator(cur, gen, value)
-                    candidates.append((nxt, ("eliminate", gen, value)))
+        candidates = [(_drop_generator(cur, g, v), ("eliminate", g, v)) for _, g, v in _eliminations(cur)]
         # shorten a relator against another
-        rels = list(cur.relators)
-        for i in range(len(rels)):
-            for j in range(len(rels)):
-                if i == j:
-                    continue
-                for w in (rels[j], tuple(-x for x in reversed(rels[j]))):
-                    cand = cyclic_reduce(free_reduce(rels[i] + w))
-                    if len(cand) < len(rels[i]):
-                        new_rels = list(rels)
-                        if cand:
-                            new_rels[i] = cand
-                        else:
-                            new_rels.pop(i)
-                        nxt = GroupPresentation(cur.num_generators, tuple(new_rels))
-                        candidates.append((nxt, ("multiply", i, j)))
+        for i, j, e, nxt in _relator_products(cur):
+            candidates.append((nxt, ("multiply", i, j, e)))
         for nxt, mv in candidates:
             k2 = _canonical(nxt)
             if k2 not in seen:
@@ -803,3 +818,53 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
                 )
                 counter += 1
     return TietzeResult("inconclusive", None, "search space exhausted without certificate", explored)
+
+
+def _start_presentation(p: GroupPresentation) -> GroupPresentation:
+    """The presentation with its relators cyclically reduced and empty ones dropped."""
+    return GroupPresentation(p.num_generators, tuple(w for w in map(cyclic_reduce, p.relators) if w))
+
+
+def _relator_products(p: GroupPresentation):
+    """(i, j, e, result) for every product rel_i rel_j^e (e = +-1) that is
+    shorter than rel_i once cyclically reduced; an empty product deletes rel_i."""
+    rels = p.relators
+    for i in range(len(rels)):
+        for j in range(len(rels)):
+            if i == j:
+                continue
+            for e, w in ((1, rels[j]), (-1, _inverse(rels[j]))):
+                cand = cyclic_reduce(rels[i] + w)
+                if len(cand) < len(rels[i]):
+                    new_rels = rels[:i] + ((cand,) if cand else ()) + rels[i + 1 :]
+                    yield i, j, e, GroupPresentation(p.num_generators, new_rels)
+
+
+def replay_tietze(p: GroupPresentation, moves) -> bool:
+    """Re-run a Tietze move log, checking that every move is legal.
+
+    An ``("eliminate", gen, value)`` move is legal when ``value`` does not
+    contain ``gen`` and ``gen value^-1`` is a relator of the current
+    presentation up to rotation and inversion; the generator is then
+    substituted away.  A ``("multiply", i, j, e)`` move replaces relator
+    ``i`` by ``rel_i rel_j^e`` and is legal when that shortens it.  The log
+    certifies triviality when it ends at zero generators.
+    """
+    cur = _start_presentation(p)
+    for move in moves:
+        if move[0] == "eliminate":
+            _, gen, value = move
+            value = tuple(value)
+            if not 1 <= gen <= cur.num_generators or gen in map(abs, value):
+                return False
+            if not any(cyclic_reduce((gen,) + _inverse(value)) in _rotations(rel) for rel in cur.relators):
+                return False
+            cur = _drop_generator(cur, gen, value)
+        elif move[0] == "multiply":
+            step = next((nxt for i, j, e, nxt in _relator_products(cur) if (i, j, e) == tuple(move[1:])), None)
+            if step is None:
+                return False
+            cur = step
+        else:
+            return False
+    return cur.num_generators == 0

@@ -66,6 +66,7 @@ def test_guard_rejection_exit_3(capsys, tmp_path):
 
 
 CIRCLE = {"kind": "ssset", "schema": 1, "dims": [1, 1], "faces": [[[0, 0]]]}
+NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
 
 
 @pytest.mark.parametrize(
@@ -73,18 +74,20 @@ CIRCLE = {"kind": "ssset", "schema": 1, "dims": [1, 1], "faces": [[[0, 0]]]}
     [
         ("obs data", "P", lambda d: d.pop("P")),
         ("obs data", "intersection_index", lambda d: d.update(intersection_index="x")),
+        ("obs data", "intersection_index", lambda d: d.update(intersection_index=0.7)),
         ("obs data", "b", lambda d: d.update(b=[1])),
         ("topo homology", "faces", lambda d: d.update(faces=[[["a", "0"]]])),
         ("topo homology", "faces", lambda d: d.pop("faces")),
+        ("nc kulikov", "strata", lambda d: d.pop("strata")),
     ],
-    ids=["no-P", "string-index", "short-b", "string-face-id", "no-faces"],
+    ids=["no-P", "string-index", "float-index", "short-b", "string-face-id", "no-faces", "no-strata"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     if command == "obs data":
         run(capsys, "cubic", "random", "--seed", "6", "--out", str(tmp_path / "c.json"))
         data = json.loads((tmp_path / "c.json").read_text())
     else:
-        data = json.loads(json.dumps(CIRCLE))
+        data = json.loads(json.dumps(NCSURF if command.startswith("nc") else CIRCLE))
     edit(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -106,7 +109,7 @@ def test_construct_round_trip_and_obs_data(capsys, tmp_path):
     assert rep["residual_divisor_orders"] == [1, 1, 1]
 
 
-def test_reports_are_byte_identical(capsys):
+def test_reports_are_byte_identical(capsys, tmp_path):
     _, out1, _ = run(capsys, "obs", "jacobian", "--seed", "3", "--json")
     _, out2, _ = run(capsys, "obs", "jacobian", "--seed", "3", "--json")
     assert out1 == out2
@@ -119,6 +122,17 @@ def test_reports_are_byte_identical(capsys):
     _, out2, _ = run(capsys, "obs", "consistency", "--seed", "100", "--json")
     assert out1 == out2
     assert json.loads(out1)["verdict"] == "pass"
+    # the Tietze move log on the dunce hat's second subdivision
+    source = ["--builtin", "duncehat"]
+    for level in (1, 2):
+        _, out, _ = run(capsys, "topo", "subdivide", *source, "--json")
+        path = tmp_path / f"sd{level}.json"
+        path.write_text(json.dumps(json.loads(out)["report"]["complex"]))
+        source = [str(path)]
+    _, out1, _ = run(capsys, "topo", "pi1", *source, "--json")
+    _, out2, _ = run(capsys, "topo", "pi1", *source, "--json")
+    assert out1 == out2
+    assert json.loads(out1)["report"]["tietze"]["status"] == "trivial"
 
 
 def test_consistency_subcommand(capsys):

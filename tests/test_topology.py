@@ -1,12 +1,18 @@
 """Homology, Smith form, collapsibility, presentations, subdivision."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from dualcx.errors import BudgetError, ValidationError
 from dualcx.simplicial import (
+    BUILTIN_COMPLEXES,
+    SemiSimplicialSet,
+    TriangulatedSet,
     functor_p,
     functor_q,
+    isomorphic,
     make_cycle_graph,
     make_cyclic_triangle,
     make_duncehat,
@@ -25,6 +31,7 @@ from dualcx.topology import (
     lattice_span_index,
     presentation,
     replay_collapse,
+    replay_tietze,
     smith_normal_form,
     tietze_trivialize,
 )
@@ -231,3 +238,103 @@ def test_tietze_trivialization():
 def test_presentation_validation():
     with pytest.raises(ValidationError):
         edge_path_presentation(make_cycle_graph(3).__class__(num_vertices=2, faces=()))  # disconnected
+
+
+def test_tietze_greedy_stop_keeps_the_search_verdict():
+    # no generator occurs once in any relator, so the search runs unaided
+    res = tietze_trivialize(presentation(2, [(1, 2, -1, -2, 1), (1, 2, 2, 1, -2)]))
+    assert res.status == "inconclusive" and res.reason == "search space exhausted without certificate"
+
+
+def _subdivided(x, level):
+    for _ in range(level):
+        x = barycentric_subdivision(x)
+    return x
+
+
+def test_tietze_certificates_replay():
+    want = {"duncehat": "trivial", "cyclic-triangle": "inconclusive", "tetrahedron-boundary": "trivial",
+            "single-2-simplex": "trivial", "circle": "inconclusive"}
+    for name, build in BUILTIN_COMPLEXES.items():
+        for level in (0, 1, 2):
+            p = edge_path_presentation(_subdivided(build(), level))
+            res = tietze_trivialize(p)
+            assert res.status == want[name], (name, level)
+            if res.status == "trivial":
+                assert replay_tietze(p, res.moves), (name, level)
+    p = edge_path_presentation(_subdivided(make_duncehat(), 1))
+    moves = tietze_trivialize(p).moves
+    _, gen, value = moves[0]
+    assert not replay_tietze(p, moves[:-1])  # generators left over
+    assert not replay_tietze(p, (("eliminate", gen, value + (gen,)),) + moves[1:])
+    assert not replay_tietze(p, (("eliminate", gen, value + (-value[0] if value else 1,)),) + moves[1:])
+    # greedy stops at once here; the search's certificate starts with a product
+    p = presentation(2, [(2, -1, -2, 1, 1), (-2, 1, 2, 1, -2)])
+    res = tietze_trivialize(p)
+    assert res.moves[0] == ("multiply", 0, 1, 1) and replay_tietze(p, res.moves)
+    assert not replay_tietze(p, (("multiply", 0, 1, -1),) + res.moves[1:])
+
+
+def _wedge(a, b, b_vertex=0):
+    """Glue vertex ``b_vertex`` of ``b`` to vertex 0 of ``a`` (semi-simplicial sets)."""
+    others = [v for v in range(b.num_vertices) if v != b_vertex]
+    vmap = {b_vertex: 0, **{v: a.num_vertices + k for k, v in enumerate(others)}}
+    levels = []
+    for d in range(1, max(a.dimension, b.dimension) + 1):
+        la = list(a.faces[d - 1]) if d <= a.dimension else []
+        lb = list(b.faces[d - 1]) if d <= b.dimension else []
+        shift = (lambda f: vmap[f]) if d == 1 else (lambda f: f + a.count(d - 1))
+        levels.append(tuple(la + [tuple(map(shift, fs)) for fs in lb]))
+    out = SemiSimplicialSet(a.num_vertices + len(others), tuple(levels))
+    out.validate()
+    return out
+
+
+def _relabel(t, rng):
+    """The same triangulated set with its facet ids permuted in every dimension."""
+    perms = [rng.permutation(t.count(d)).tolist() for d in range(t.dimension + 1)]
+    levels = []
+    for d in range(1, t.dimension + 1):
+        level = [None] * t.count(d)
+        for i, atts in enumerate(t.attach[d - 1]):
+            level[perms[d][i]] = tuple((perms[d - 1][g], inj) for g, inj in atts)
+        levels.append(tuple(level))
+    out = TriangulatedSet(t.num_vertices, tuple(levels))
+    out.validate()
+    return out
+
+
+def _tetrahedron_with_doubled_face():
+    """The tetrahedron's edges with three of its triangles, one of them twice."""
+    t = make_tetrahedron_boundary()
+    return SemiSimplicialSet(4, (t.faces[0], t.faces[1][:3] + (t.faces[1][0],)))
+
+
+def test_isomorphic_to_relabeled_second_subdivisions():
+    rng = np.random.default_rng(8)
+    for x in (make_duncehat(), make_single_2_simplex(), make_tetrahedron_boundary()):
+        t = functor_p(_subdivided(x, 2))
+        assert isomorphic(t, _relabel(t, rng))
+
+
+def test_isomorphism_rejects_equal_count_twins():
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    corner = functor_p(_wedge(make_duncehat(), sd_simplex))
+    center = functor_p(_wedge(make_duncehat(), sd_simplex, b_vertex=6))  # the barycentre
+    assert corner.counts() == center.counts() and not isomorphic(corner, center)
+    for level in (0, 1):
+        sphere = functor_p(_subdivided(make_tetrahedron_boundary(), level))
+        twin = functor_p(_subdivided(_tetrahedron_with_doubled_face(), level))
+        assert sphere.counts() == twin.counts() and not isomorphic(sphere, twin)
+
+
+def test_collapse_search_leaves_no_cyclic_garbage():
+    # the explored-state memo must go with the call, not wait for the cycle collector
+    x = _wedge(make_duncehat(), barycentric_subdivision(make_single_2_simplex()))
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_collapsible(x, budget=5_000).status == "non_collapsible"
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
