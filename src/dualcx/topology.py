@@ -19,7 +19,7 @@ import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .errors import BudgetError, ValidationError
 from .simplicial import SemiSimplicialSet, TriangulatedSet, _as_tset
@@ -347,24 +347,61 @@ def _coface_paths(t: TriangulatedSet) -> dict[tuple[int, int], dict[tuple[int, i
     }
 
 
-def _free_pairs(paths: dict, alive) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """(face, unique coface) pairs among the ``alive`` cells, sorted by face."""
-    out = []
-    for g in sorted(alive):
-        total = 0
-        witness = None
-        for h in alive:
-            if h == g:
-                continue
-            c = paths.get(h, {}).get(g, 0)
-            total += c
-            if c:
-                witness = h
-            if total > 1:
-                break
-        if total == 1 and witness is not None and witness[0] == g[0] + 1:
-            out.append((g, witness))
-    return out
+@dataclass(frozen=True)
+class _Incidence:
+    """The incidence table the collapse layer reads.
+
+    ``cells`` lists the cells in (dim, id) order, so index order is the
+    lexicographic order; a set of alive cells is the bitmask of their
+    indices.  ``faces[h]`` holds the ``(g, multiplicity)`` pairs of
+    :func:`_coface_paths` for every proper face g of cell h, and
+    ``cofaces[g]`` the same pairs seen from g.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    faces: tuple[tuple[tuple[int, int], ...], ...]
+    cofaces: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, t: TriangulatedSet) -> _Incidence:
+        cells = tuple((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+        index = {c: k for k, c in enumerate(cells)}
+        paths = _coface_paths(t)
+        faces = [[] for _ in cells]
+        cofaces = [[] for _ in cells]
+        for h, c in enumerate(cells):
+            for g, m in paths.get(c, {}).items():
+                if g != c:
+                    faces[h].append((index[g], m))
+                    cofaces[index[g]].append((h, m))
+        return cls(cells, tuple(map(tuple, faces)), tuple(map(tuple, cofaces)))
+
+    def counts(self) -> list[int]:
+        """The total incidence of every cell from the other cells, all alive."""
+        return [sum(m for _, m in row) for row in self.cofaces]
+
+    def free_pairs(self, alive: int, count: list[int]) -> list[tuple[int, int]]:
+        """(face, unique coface) index pairs among ``alive``, by face.
+
+        ``count[g]`` must be g's total incidence from the other alive cells;
+        g is free when that is one, through a cell one dimension up.
+        """
+        cells, out = self.cells, []
+        for g, c in enumerate(count):
+            if c == 1 and alive >> g & 1:
+                f = next(h for h, _ in self.cofaces[g] if alive >> h & 1)
+                if cells[f][0] == cells[g][0] + 1:
+                    out.append((g, f))
+        return out
+
+    def is_vertex(self, alive: int) -> bool:
+        """Whether ``alive`` is a single vertex."""
+        return alive != 0 and alive & (alive - 1) == 0 and self.cells[alive.bit_length() - 1][0] == 0
+
+    def add(self, count: list[int], cell: int, sign: int) -> None:
+        """Add ``sign`` times ``cell``'s incidences on its faces to ``count``."""
+        for g, m in self.faces[cell]:
+            count[g] += sign * m
 
 
 def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -377,8 +414,9 @@ def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """
     t = _as_tset(x)
     t.validate()
-    cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
-    return _free_pairs(_coface_paths(t), cells)
+    table = _Incidence.of(t)
+    full = (1 << len(table.cells)) - 1
+    return [(table.cells[g], table.cells[f]) for g, f in table.free_pairs(full, table.counts())]
 
 
 @dataclass(frozen=True)
@@ -400,43 +438,52 @@ class CollapseResult:
 def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     """Backtracking search over all collapse sequences with memoization.
 
-    States are the surviving cell subsets, which is an exact canonical form
-    for this search.  Free pairs are tried in lexicographic order, so the
+    A state is the bitmask of the surviving cells over the cell list sorted
+    by (dim, id), which is an exact canonical form for this search.  Each
+    cell's incidence from the other alive cells is kept in a count list and
+    updated for the two cells of every removed pair, and restored when the
+    search backs out.  Free pairs are tried in lexicographic order, so the
     first certificate found is the lexicographically least one.
     """
     if budget <= 0:
         raise BudgetError("collapse search needs a positive budget")
     t = _as_tset(x)
     t.validate()
-    paths = _coface_paths(t)
-    cells = [(d, i) for d in range(t.dimension + 1) for i in range(t.count(d))]
-    start = frozenset(cells)
-
-    seen: set[frozenset] = set()
-    cert = _collapse_search(paths, start, seen, budget)
+    table = _Incidence.of(t)
+    seen: set[int] = set()
+    cert = _collapse_search(table, (1 << len(table.cells)) - 1, table.counts(), seen, budget)
     explored = len(seen)
     if cert is not None:
-        return CollapseResult("collapsible", tuple(cert), explored, exhausted=False)
+        cells = table.cells
+        return CollapseResult("collapsible", tuple((cells[g], cells[f]) for g, f in cert), explored, exhausted=False)
     if explored > budget:
         return CollapseResult("inconclusive", None, explored, exhausted=False)
     return CollapseResult("non_collapsible", None, explored, exhausted=True)
 
 
-def _collapse_search(paths: dict, alive: frozenset, seen: set, budget: int):
-    """The least collapse sequence from ``alive`` to a vertex, or None.
+def _collapse_search(table: _Incidence, alive: int, count: list[int], seen: set, budget: int):
+    """The least collapse sequence of index pairs from ``alive`` to a vertex, or None.
 
-    ``seen`` holds every state entered so far, so its size is the explored
-    count; past ``budget`` states the search unwinds with None.
+    ``count`` holds the incidences from the alive cells and is the same on
+    return.  ``seen`` holds every state entered so far, so its size is the
+    explored count; past ``budget`` states the search unwinds with None.
+    A state already in ``seen`` is skipped before its counts are updated,
+    so ``alive`` is never in ``seen`` on entry; a vertex is never added.
     """
-    if len(alive) == 1 and next(iter(alive))[0] == 0:
+    if table.is_vertex(alive):
         return []
-    if alive in seen:
-        return None
     seen.add(alive)
     if len(seen) > budget:
         return None
-    for g, f in _free_pairs(paths, alive):
-        sub = _collapse_search(paths, alive - {g, f}, seen, budget)
+    for g, f in table.free_pairs(alive, count):
+        rest = alive & ~(1 << g | 1 << f)
+        if rest in seen:
+            continue
+        table.add(count, g, -1)
+        table.add(count, f, -1)
+        sub = _collapse_search(table, rest, count, seen, budget)
+        table.add(count, g, 1)
+        table.add(count, f, 1)
         if sub is not None:
             return [(g, f)] + sub
         if len(seen) > budget:
@@ -446,19 +493,21 @@ def _collapse_search(paths: dict, alive: frozenset, seen: set, budget: int):
 
 def replay_collapse(x, certificate) -> bool:
     """Re-run a collapse certificate, checking every step is legal."""
-    t = _as_tset(x)
-    paths = _coface_paths(t)
-    alive = set((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+    table = _Incidence.of(_as_tset(x))
+    index = {c: k for k, c in enumerate(table.cells)}
+    alive = (1 << len(table.cells)) - 1
+    count = table.counts()
     for g, f in certificate:
-        g = tuple(g)
-        f = tuple(f)
-        if g not in alive or f not in alive:
+        g = index.get(tuple(g))
+        f = index.get(tuple(f))
+        if g is None or f is None or not alive >> g & 1 or not alive >> f & 1:
             return False
-        total = sum(paths.get(h, {}).get(g, 0) for h in alive if h != g)
-        if total != 1 or paths.get(f, {}).get(g, 0) != 1 or f[0] != g[0] + 1:
+        if count[g] != 1 or (g, 1) not in table.faces[f] or table.cells[f][0] != table.cells[g][0] + 1:
             return False
-        alive -= {g, f}
-    return len(alive) == 1 and next(iter(alive))[0] == 0
+        table.add(count, g, -1)
+        table.add(count, f, -1)
+        alive &= ~(1 << g | 1 << f)
+    return table.is_vertex(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -752,13 +801,15 @@ def _eliminations(p: GroupPresentation):
 def _greedy_elimination(p: GroupPresentation):
     """The elimination from a shortest relator with the least length growth,
     or None.  The growth is estimated before free reduction: each other
-    occurrence of the generator grows by ``len(rel) - 2``, the relator goes."""
+    occurrence of the generator grows by ``len(rel) - 2``.  Only the first
+    relator length that has an elimination is enumerated; ties keep the
+    first elimination."""
+    first = next(groupby(_eliminations(p), key=lambda e: len(e[0])), None)
+    if first is None:
+        return None
+    length, group = first
     counts = Counter(abs(x) for rel in p.relators for x in rel)
-    return min(
-        _eliminations(p),
-        key=lambda e: (len(e[0]), (counts[e[1]] - 1) * (len(e[0]) - 2) - len(e[0])),
-        default=None,
-    )
+    return min(group, key=lambda e: (counts[e[1]] - 1) * (length - 2))
 
 
 def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeResult:

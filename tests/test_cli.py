@@ -34,9 +34,13 @@ def test_euler_and_chi(capsys):
     assert code == 0 and json.loads(out)["report"]["generic_fiber_euler"] == 11
 
 
-def test_collapse_and_pi1(capsys):
+def test_collapse_and_pi1(capsys, tmp_path):
     code, out, _ = run(capsys, "topo", "collapse", "--builtin", "duncehat", "--json")
     assert code == 0 and json.loads(out)["report"]["status"] == "non_collapsible"
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"kind": "ssset", "schema": 1, "dims": [0], "faces": []}))
+    code, out, _ = run(capsys, "topo", "collapse", str(empty), "--json")
+    assert code == 0 and json.loads(out)["report"]["states_explored"] == 1
     code, out, _ = run(capsys, "topo", "pi1", "--builtin", "cyclic-triangle", "--json")
     assert code == 0
     rep = json.loads(out)["report"]
@@ -122,17 +126,22 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     _, out2, _ = run(capsys, "obs", "consistency", "--seed", "100", "--json")
     assert out1 == out2
     assert json.loads(out1)["verdict"] == "pass"
-    # the Tietze move log on the dunce hat's second subdivision
-    source = ["--builtin", "duncehat"]
-    for level in (1, 2):
-        _, out, _ = run(capsys, "topo", "subdivide", *source, "--json")
-        path = tmp_path / f"sd{level}.json"
-        path.write_text(json.dumps(json.loads(out)["report"]["complex"]))
-        source = [str(path)]
-    _, out1, _ = run(capsys, "topo", "pi1", *source, "--json")
-    _, out2, _ = run(capsys, "topo", "pi1", *source, "--json")
-    assert out1 == out2
-    assert json.loads(out1)["report"]["tietze"]["status"] == "trivial"
+    # the Tietze move log on the dunce hat's second subdivision, and the
+    # collapse certificate on the 2-simplex's (60 states explored)
+    reports = {}
+    for builtin, command in (("duncehat", "pi1"), ("single-2-simplex", "collapse")):
+        source = ["--builtin", builtin]
+        for level in (1, 2):
+            _, out, _ = run(capsys, "topo", "subdivide", *source, "--json")
+            path = tmp_path / f"{builtin}-sd{level}.json"
+            path.write_text(json.dumps(json.loads(out)["report"]["complex"]))
+            source = [str(path)]
+        _, out1, _ = run(capsys, "topo", command, *source, "--json")
+        _, out2, _ = run(capsys, "topo", command, *source, "--json")
+        assert out1 == out2
+        reports[command] = json.loads(out1)["report"]
+    assert reports["pi1"]["tietze"]["status"] == "trivial"
+    assert reports["collapse"]["status"] == "collapsible" and reports["collapse"]["states_explored"] == 60
 
 
 def test_consistency_subcommand(capsys):

@@ -10,6 +10,7 @@ from dualcx.simplicial import (
     BUILTIN_COMPLEXES,
     SemiSimplicialSet,
     TriangulatedSet,
+    _as_tset,
     functor_p,
     functor_q,
     isomorphic,
@@ -20,6 +21,8 @@ from dualcx.simplicial import (
     make_tetrahedron_boundary,
 )
 from dualcx.topology import (
+    CollapseResult,
+    _coface_paths,
     barycentric_subdivision,
     chain_complex,
     edge_path_presentation,
@@ -123,6 +126,10 @@ def test_collapsibility_verdicts():
     assert sphere.status == "non_collapsible"
     with pytest.raises(BudgetError):
         is_collapsible(make_duncehat(), budget=0)
+    # the empty complex has no vertex to collapse to; a lone vertex is one already
+    assert is_collapsible(SemiSimplicialSet(0, ())) == CollapseResult("non_collapsible", None, 1, exhausted=True)
+    assert is_collapsible(SemiSimplicialSet(1, ())) == CollapseResult("collapsible", (), 0, exhausted=False)
+    assert free_faces(SemiSimplicialSet(0, ())) == []
 
 
 def _subcomplex(t, alive):
@@ -338,3 +345,76 @@ def test_collapse_search_leaves_no_cyclic_garbage():
         assert gc.collect() < 100
     finally:
         gc.enable()
+
+
+def _reference_free_pairs(paths, alive):
+    """(face, unique coface) pairs among ``alive``, sorted by face, by rescanning every pair."""
+    out = []
+    for g in sorted(alive):
+        total = 0
+        witness = None
+        for h in alive:
+            if h == g:
+                continue
+            c = paths.get(h, {}).get(g, 0)
+            total += c
+            if c:
+                witness = h
+            if total > 1:
+                break
+        if total == 1 and witness is not None and witness[0] == g[0] + 1:
+            out.append((g, witness))
+    return out
+
+
+def _reference_search(paths, alive, seen, budget):
+    """The collapse search over frozenset states, with a full rescan per state."""
+    if len(alive) == 1 and next(iter(alive))[0] == 0:
+        return []
+    if alive in seen:
+        return None
+    seen.add(alive)
+    if len(seen) > budget:
+        return None
+    for g, f in _reference_free_pairs(paths, alive):
+        sub = _reference_search(paths, alive - {g, f}, seen, budget)
+        if sub is not None:
+            return [(g, f)] + sub
+        if len(seen) > budget:
+            return None
+    return None
+
+
+def _reference_collapse(x, budget):
+    t = _as_tset(x)
+    paths = _coface_paths(t)
+    cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+    seen = set()
+    cert = _reference_search(paths, cells, seen, budget)
+    if cert is not None:
+        return CollapseResult("collapsible", tuple(cert), len(seen), exhausted=False)
+    if len(seen) > budget:
+        return CollapseResult("inconclusive", None, len(seen), exhausted=False)
+    return CollapseResult("non_collapsible", None, len(seen), exhausted=True)
+
+
+def test_collapse_search_matches_the_rescan_reference():
+    complexes = [_subdivided(build(), level) for build in BUILTIN_COMPLEXES.values() for level in (0, 1, 2)]
+    complexes += [_wedge(make_duncehat(), make_single_2_simplex()),
+                  _wedge(make_duncehat(), barycentric_subdivision(make_single_2_simplex()))]
+    certified = 0
+    for x in complexes:
+        t = _as_tset(x)
+        cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+        assert free_faces(x) == _reference_free_pairs(_coface_paths(t), cells)
+        for budget in (1, 10, 100, 5_000):
+            res = is_collapsible(x, budget=budget)
+            assert res == _reference_collapse(x, budget), (x.counts(), budget)
+            if res.certificate is None:
+                continue
+            cert = res.certificate
+            assert replay_collapse(x, cert)
+            assert not replay_collapse(x, cert[1:])
+            assert not replay_collapse(x, (cert[-1],) + cert[1:-1] + (cert[0],))
+            certified += 1
+    assert certified >= 3  # the 2-simplex at sd0-sd2, at budget 5,000 at least
