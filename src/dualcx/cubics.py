@@ -6,6 +6,9 @@ Cubics are parametrization-first: a curve is a degree-3 map from the
 projective line, stored as three binary cubics (X, Y, W).  The implicit
 equation is derived by a nullspace fit and every downstream quantity
 (nodes, flexes, intersections) reduces to one-variable root finding.
+Each map keeps one table of its monomials X^a Y^b W^g per degree (two
+and three), built on first use; every composition of a ternary form with
+the map reads from it.
 
 The affine chart is fixed once and for all: coordinates (x, y) = (X/W,
 Y/W), the line at infinity is W = 0, and the area form is dx ^ dy.
@@ -74,13 +77,12 @@ MONOMIALS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def _compose_terms(terms, gx: Poly, gy: Poly, gw: Poly) -> Poly:
-    """``sum c gx^a gy^b gw^g`` over the ``((a, b, g), c)`` in ``terms``, in their order."""
-    powers = [[Poly([1.0]), g, g * g, g * g * g] for g in (gx, gy, gw)]
-    out = Poly([0.0])
-    for (a, b, g), c in terms:
-        out = out + c * (powers[0][a] * powers[1][b] * powers[2][g])
-    return out
+def _compose_terms(table, terms) -> Poly:
+    """``sum c X^a Y^b W^g`` over the ``((a, b, g), c)`` in ``terms``, in their order, read from ``table``."""
+    out = 0.0
+    for mon, c in terms:
+        out = out + table[mon] * c  # array * scalar as in Poly's scalar product; c * array rounds differently
+    return Poly(out)
 
 
 def _tern_mul(a: dict, b: dict) -> dict:
@@ -143,9 +145,9 @@ class TernaryCubic:
             vals.append(complex(acc))
         return tuple(vals)
 
-    def compose_map(self, gx: Poly, gy: Poly, gw: Poly) -> Poly:
-        """The univariate polynomial F(gx(t), gy(t), gw(t))."""
-        return _compose_terms(zip(MONOMIALS, self.coef), gx, gy, gw)
+    def compose_map(self, gamma: "CubicMap") -> Poly:
+        """The univariate polynomial F(X(t), Y(t), W(t)) along ``gamma``."""
+        return _compose_terms(gamma.monomials(3), zip(MONOMIALS, self.coef))
 
     def compose_linear(self, L) -> "TernaryCubic":
         """The form F(L v): substitute linear coordinates."""
@@ -175,7 +177,7 @@ class TernaryCubic:
 class CubicMap:
     """Degree-3 map to the plane: three binary cubics (X, Y, W)."""
 
-    __slots__ = ("x", "y", "w", "nx", "ny")
+    __slots__ = ("x", "y", "w", "nx", "ny", "_tables")
 
     def __init__(self, x: Poly, y: Poly, w: Poly):
         for p in (x, y, w):
@@ -185,9 +187,28 @@ class CubicMap:
         # numerators of the affine derivative: d(X/W)/dt = (X'W - XW')/W^2
         self.nx = x.derivative() * w - x * w.derivative()
         self.ny = y.derivative() * w - y * w.derivative()
+        self._tables: dict[int, dict] = {}
+
+    def monomials(self, degree: int) -> dict[tuple[int, int, int], np.ndarray]:
+        """Coefficients of ``(X^a Y^b) W^g`` for every exponent triple of ``degree``
+        (two or three), zero-padded to the longest; built on first use."""
+        if degree not in self._tables:
+            powers = [[np.ones(1, dtype=complex), c, np.convolve(c, c), np.convolve(np.convolve(c, c), c)]
+                      for c in (self.x.coef, self.y.coef, self.w.coef)]
+            mons = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+            prods = [np.convolve(np.convolve(powers[0][a], powers[1][b]), powers[2][g]) for a, b, g in mons]
+            rows = np.zeros((len(mons), max(map(len, prods))), dtype=complex)
+            for row, v in zip(rows, prods):
+                row[: len(v)] = v
+            self._tables[degree] = dict(zip(mons, rows))
+        return self._tables[degree]
 
     def hom(self, t: complex) -> np.ndarray:
         return np.array([self.x(t), self.y(t), self.w(t)], dtype=complex)
+
+    def hom_many(self, ts) -> np.ndarray:
+        """The homogeneous coordinates at an array of parameters, one row per coordinate."""
+        return np.stack([self.x.eval_many(ts), self.y.eval_many(ts), self.w.eval_many(ts)])
 
     def affine(self, t: complex) -> np.ndarray:
         w = self.w(t)
@@ -248,16 +269,12 @@ def implicitize(gamma: CubicMap) -> TernaryCubic:
     is a poor residual.
     """
     ts = 1.07 * np.exp(2j * np.pi * (np.arange(20) + 0.13) / 20) + (0.31 - 0.17j)
-    rows = []
-    for t in ts:
-        v = gamma.hom(complex(t))
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise GuardError("degenerate-parametrization", "common zero of the coordinate polynomials")
-        x, y, w = v / nv
-        rows.append([x**a * y**b * w**c for a, b, c in MONOMIALS])
-    m = np.asarray(rows, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
+    v = gamma.hom_many(ts)
+    nv = np.linalg.norm(v, axis=0)
+    if np.any(nv == 0.0):
+        raise GuardError("degenerate-parametrization", "common zero of the coordinate polynomials")
+    x, y, w = v / nv
+    _, s, vh = np.linalg.svd(np.stack([x**a * y**b * w**c for a, b, c in MONOMIALS], axis=1))
     if s[8] <= 1e-6 * s[0]:
         raise GuardError("degenerate-parametrization", "implicit nullspace has dimension above one")
     if s[9] > 1e-8 * s[0]:
@@ -272,13 +289,8 @@ def implicitize(gamma: CubicMap) -> TernaryCubic:
 def implicit_residual(gamma: CubicMap, f: TernaryCubic) -> float:
     """Largest normalized |f(gamma(t))| over 50 held-out sample parameters."""
     ts = 0.93 * np.exp(2j * np.pi * (np.arange(50) + 0.41) / 50) - (0.11 + 0.23j)
-    worst = 0.0
-    fn = f.norm()
-    for t in ts:
-        v = gamma.hom(complex(t))
-        nv = np.linalg.norm(v)
-        worst = max(worst, abs(f(*(v / nv))) / fn)
-    return worst
+    v = gamma.hom_many(ts)
+    return float(np.max(np.abs(f.eval_many(*(v / np.linalg.norm(v, axis=0)))))) / f.norm()
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +360,7 @@ def find_node(gamma: CubicMap) -> tuple[complex, complex]:
         if res.is_zero() or res.degree < 1:
             continue
         for u in aberth_roots(res, tol=1e-9):
-            quad = Poly([complex(c(u)) for c in v_coeffs(minors[first])]).trim(rel=1e-9)
+            quad = Poly([complex(c(u)) for c in A]).trim(rel=1e-9)
             if quad.degree < 1:
                 continue
             for v in aberth_roots(quad, tol=1e-9):
@@ -470,7 +482,7 @@ def residue_at_node_preimage(gamma: CubicMap, f: TernaryCubic, u: complex) -> co
 
 
 def _partial_composed(gamma: CubicMap, f: TernaryCubic, var: int) -> Poly:
-    return _compose_terms(f.partial(var).items(), gamma.x, gamma.y, gamma.w)
+    return _compose_terms(gamma.monomials(2), f.partial(var).items())
 
 
 def normalize_residue(gamma: CubicMap, f: TernaryCubic, u_first: complex) -> TernaryCubic:
@@ -507,7 +519,7 @@ class NodalCubic:
     flex_rule: str
     tau: Mobius
 
-    @property
+    @cached_property
     def node_point(self) -> np.ndarray:
         return self.gamma.affine(self.node[0])
 
@@ -585,23 +597,21 @@ def intersect(p: NodalCubic, q: NodalCubic, tol: Tolerances = DEFAULT_TOL) -> tu
     roots (tangencies) and ambiguous matchings are rejections, not
     warnings.
     """
-    fq_on_p = q.f.compose_map(p.gamma.x, p.gamma.y, p.gamma.w).trim(rel=1e-12)
-    fp_on_q = p.f.compose_map(q.gamma.x, q.gamma.y, q.gamma.w).trim(rel=1e-12)
+    fq_on_p = q.f.compose_map(p.gamma).trim(rel=1e-12)
+    fp_on_q = p.f.compose_map(q.gamma).trim(rel=1e-12)
     if fq_on_p.degree != 9 or fp_on_q.degree != 9:
         raise GuardError("infinity-intersection", "an intersection point sits at the infinite parameter")
     ts = poly_roots(fq_on_p, tol=tol.root_residual)
     ss = poly_roots(fp_on_q, tol=tol.root_residual)
     if any(m > 1 for _, m in ts) or any(m > 1 for _, m in ss) or len(ts) != 9 or len(ss) != 9:
         raise GuardError("tangency", "clustered intersection parameters (tangential pair)")
-    pts_p = [p.gamma.affine(t) for t, _ in ts]
-    pts_q = [q.gamma.affine(s) for s, _ in ss]
+    pts_p = _images(p.gamma, [t for t, _ in ts])
+    dist = np.linalg.norm(pts_p[:, None] - _images(q.gamma, [s for s, _ in ss])[None], axis=2)
     pairs = []
     used = set()
-    for i, xp in enumerate(pts_p):
-        dists = sorted((float(np.linalg.norm(xp - xq)), j) for j, xq in enumerate(pts_q))
-        best, jbest = dists[0]
-        second = dists[1][0]
-        scale = max(1.0, float(np.linalg.norm(xp)))
+    for i, (jbest, jsecond) in enumerate(np.argsort(dist, axis=1, kind="stable")[:, :2]):
+        best, second = dist[i, jbest], dist[i, jsecond]
+        scale = max(1.0, float(np.linalg.norm(pts_p[i])))
         if best > 1e-7 * scale:
             raise GuardError("intersection-match", "intersection images do not match across the two sides")
         if second < 10 * best + 1e-12 * scale:
@@ -612,6 +622,11 @@ def intersect(p: NodalCubic, q: NodalCubic, tol: Tolerances = DEFAULT_TOL) -> tu
         pairs.append((ts[i][0], ss[jbest][0]))
     pairs.sort(key=lambda ts_pair: (ts_pair[0].real, ts_pair[0].imag))
     return tuple(pairs)
+
+
+def _images(gamma: CubicMap, params) -> np.ndarray:
+    """The affine image points of ``params``, one row (x, y) each."""
+    return np.stack(gamma.affine_many(params), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +679,7 @@ class Construct:
     def s_q3(self) -> complex:
         return self.intersections[self.n_index][1]
 
-    @property
+    @cached_property
     def n_point(self) -> np.ndarray:
         return self.p.gamma.affine(self.t_p3)
 
@@ -960,11 +975,12 @@ def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, n_expected
     The nearest image must be unambiguous and the marks must not drift.
     """
     inters = intersect(p2, q2, tol)
-    dists = sorted((float(np.linalg.norm(p2.gamma.affine(t) - n_expected)), k) for k, (t, _) in enumerate(inters))
-    best, kbest = dists[0]
-    if best > 1e-6 * max(1.0, float(np.linalg.norm(n_expected))) or dists[1][0] < 10 * best:
+    dist = np.linalg.norm(_images(p2.gamma, [t for t, _ in inters]) - n_expected, axis=1)
+    kbest, ksecond = np.argsort(dist, kind="stable")[:2]
+    best = dist[kbest]
+    if best > 1e-6 * max(1.0, float(np.linalg.norm(n_expected))) or dist[ksecond] < 10 * best:
         raise GuardError("intersection-match", "could not re-identify the chosen intersection after the move")
-    out = make_construct(p2, q2, inters, kbest, c.b_param, tol, seed=c.seed)
+    out = make_construct(p2, q2, inters, int(kbest), c.b_param, tol, seed=c.seed)
     if chordal(out.n_p, c.n_p) > MARKS_DRIFT_TOL or chordal(out.n_q, c.n_q) > MARKS_DRIFT_TOL:
         raise GuardError("marks-drift", "n_p or n_q drifted under the move")
     return out

@@ -64,6 +64,7 @@ from .numerics import (
     Mobius,
     Poly,
     Tolerances,
+    _chordal_matrix,
     aberth_roots,
     chordal,
     is_inf,
@@ -367,8 +368,8 @@ def _section_divisor(c: Construct, tol: Tolerances) -> tuple[Divisor, dict]:
     pieces["sb"] = Divisor([(t_psi, 1), (c.b_param, -1)])
     pieces["g"] = Divisor([(c.t_p3, 1), (c.t_p2, 1), (t_psi, -2)])
 
-    fq_on_p = c.q.f.compose_map(c.p.gamma.x, c.p.gamma.y, c.p.gamma.w)
-    fp_on_q = c.p.f.compose_map(c.q.gamma.x, c.q.gamma.y, c.q.gamma.w)
+    fq_on_p = c.q.f.compose_map(c.p.gamma)
+    fp_on_q = c.p.f.compose_map(c.q.gamma)
     wdiv_p = _poly_div(c.p.gamma.w, rt)
     wdiv_q = _poly_div(c.q.gamma.w, rt)
     pieces["inv_fq_on_p"] = -(_poly_div(fq_on_p, rt) - wdiv_p.scaled(3))
@@ -476,11 +477,13 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     all_pts = [c.b_param]
     for piece in pieces.values():
         all_pts += [z for z, _ in piece.points if not is_inf(z)]
+    far = _chordal_matrix(marks + all_pts)[: len(marks), len(marks) :] > tol.cluster_radius
     orders = []
     values = []
     rows = eval_main_rows(c)
     for i, mk in enumerate(marks):
-        dmin = min((abs(mk - z) for z in all_pts if chordal(mk, z) > tol.cluster_radius), default=1.0)
+        dist = np.abs(mk - np.asarray(all_pts))[far[i]]
+        dmin = float(dist.min()) if dist.size else 1.0
         radius = max(1e-8, min(0.05, dmin / 30.0))
         outer, inner, ratio = _ratio_on_ring(c, h_factors, mk, radius)
         orders.append(int(round((np.mean(np.log(np.abs(outer))) - np.mean(np.log(np.abs(inner)))) / np.log(2.0))))

@@ -166,6 +166,18 @@ def test_root_finding_failure_exits_3(capsys):
     assert "Traceback" not in out + err
 
 
+def test_cluster_radius_override_reaches_route_two(capsys):
+    # the direct route merges and splits its divisors at the cluster radius:
+    # 0.3 swallows off-mark points into the marks, 1e-2 moves its values
+    code, out, err = run(capsys, "obs", "consistency", "--seed", "100", "--tol-cluster", "0.3")
+    assert code == 3
+    assert "rejected (residual-divisor)" in err
+    assert "Traceback" not in out + err
+    code, out, _ = run(capsys, "obs", "consistency", "--seed", "100", "--tol-cluster", "1e-2", "--json")
+    assert code == 1
+    assert json.loads(out)["report"]["deviation"] > 1e-3
+
+
 def test_subdivide_subcommand(capsys):
     code, out, _ = run(capsys, "topo", "subdivide", "--builtin", "duncehat", "--json")
     assert code == 0

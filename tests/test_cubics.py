@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dualcx.errors import GuardError
-from dualcx.numerics import DEFAULT_TOL, Poly, chordal, is_inf, poly_from_roots
+from dualcx.numerics import DEFAULT_TOL, Poly, chordal, is_inf, poly_from_roots, poly_roots
 from dualcx.cubics import (
+    MONOMIALS,
     AffineMapPlane,
     CubicMap,
+    _partial_composed,
     affine_direction,
     affine_family,
     choose_flex,
@@ -334,3 +336,85 @@ def test_node_swap_changes_tau_consistently():
     cval = nc.tau(swapped.psi)
     for t in (0.3 + 0.1j, -0.8, 2.2 - 1.1j):
         assert abs(swapped.tau(t) - cval / nc.tau(t)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-term and per-point references they replace
+# ---------------------------------------------------------------------------
+
+
+def _compose_reference(terms, gamma):
+    """sum c X^a Y^b W^g by Poly products, rebuilt for every composition."""
+    powers = [[Poly([1.0]), g, g * g, g * g * g] for g in (gamma.x, gamma.y, gamma.w)]
+    out = Poly([0.0])
+    for (a, b, g), c in terms:
+        out = out + c * (powers[0][a] * powers[1][b] * powers[2][g])
+    return out
+
+
+def test_monomial_table_compositions_equal_the_poly_product_reference():
+    # same products and accumulation order, so the coefficients are equal, not close
+    for seed in range(20):
+        c = random_construct(seed)
+        for cubic, other in ((c.p, c.q), (c.q, c.p)):
+            ref = _compose_reference(zip(MONOMIALS, other.f.coef), cubic.gamma)
+            assert np.array_equal(other.f.compose_map(cubic.gamma).coef, ref.coef)
+            for var in (0, 1):
+                ref = _compose_reference(cubic.f.partial(var).items(), cubic.gamma)
+                assert np.array_equal(_partial_composed(cubic.gamma, cubic.f, var).coef, ref.coef)
+
+
+def _implicit_fit_reference(gamma):
+    """The nullspace fit one sample point at a time: (unit form, singular values)."""
+    rows = []
+    for t in 1.07 * np.exp(2j * np.pi * (np.arange(20) + 0.13) / 20) + (0.31 - 0.17j):
+        x, y, w = gamma.hom(complex(t)) / np.linalg.norm(gamma.hom(complex(t)))
+        rows.append([x**a * y**b * w**g for a, b, g in MONOMIALS])
+    _, s, vh = np.linalg.svd(np.asarray(rows))
+    return np.conj(vh[9]), s
+
+
+def _residual_reference(gamma, f):
+    worst = 0.0
+    for t in 0.93 * np.exp(2j * np.pi * (np.arange(50) + 0.41) / 50) - (0.11 + 0.23j):
+        v = gamma.hom(complex(t))
+        worst = max(worst, abs(f(*(v / np.linalg.norm(v)))) / f.norm())
+    return worst
+
+
+def test_batched_implicitize_matches_the_scalar_reference():
+    # the array pass rounds differently from the per-point one: equal to 1e-12
+    for seed in range(10):
+        c = random_construct(seed)
+        for cubic, other in ((c.p, c.q), (c.q, c.p)):
+            ref, _ = _implicit_fit_reference(cubic.gamma)
+            got = implicitize(cubic.gamma).coef
+            phase = np.vdot(ref, got) / abs(np.vdot(ref, got))
+            assert np.linalg.norm(got - phase * ref) <= 1e-12
+            # a form that does not vanish on the curve: an O(1) residual to compare
+            want = _residual_reference(cubic.gamma, other.f)
+            assert abs(implicit_residual(cubic.gamma, other.f) - want) <= 1e-12 * want
+
+
+def _match_reference(p, q, tol=DEFAULT_TOL):
+    """The intersection pairs by a sorted scan of scalar image distances."""
+    ts = poly_roots(q.f.compose_map(p.gamma).trim(rel=1e-12), tol=tol.root_residual)
+    ss = poly_roots(p.f.compose_map(q.gamma).trim(rel=1e-12), tol=tol.root_residual)
+    pairs = []
+    for t, _ in ts:
+        dists = sorted((float(np.linalg.norm(p.gamma.affine(t) - q.gamma.affine(s))), j) for j, (s, _) in enumerate(ss))
+        assert dists[1][0] >= 10 * dists[0][0]
+        pairs.append((t, ss[dists[0][1]][0]))
+    return tuple(sorted(pairs, key=lambda pair: (pair[0].real, pair[0].imag)))
+
+
+def test_array_matching_pairs_the_same_intersections():
+    for seed in range(20):
+        c = random_construct(seed)
+        assert intersect(c.p, c.q) == _match_reference(c.p, c.q)
+        # the rebuild re-identifies the chosen intersection as the scalar scan would
+        member = affine_family(c, affine_direction(c, "Q"), 0.03)
+        images = [member.p.gamma.affine(t) for t, _ in member.intersections]
+        dists = [float(np.linalg.norm(x - c.n_point)) for x in images]
+        assert member.n_index == dists.index(min(dists))
+        assert member.intersections == _match_reference(member.p, member.q)

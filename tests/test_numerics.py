@@ -74,7 +74,7 @@ def test_intersection_roots_certify_within_six_sweeps():
     # simple roots, certified by disjoint inclusion disks on the first sweep
     for seed in range(20):
         c = random_construct(seed)
-        f = c.q.f.compose_map(c.p.gamma.x, c.p.gamma.y, c.p.gamma.w).trim(rel=1e-12)
+        f = c.q.f.compose_map(c.p.gamma).trim(rel=1e-12)
         roots = aberth_roots(f, max_iter=6)
         assert len(roots) == f.degree == 9
 
