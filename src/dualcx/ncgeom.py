@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardError, ValidationError, decode_field
+from .errors import GuardError, ValidationError, decode_field, int_tuple
 from .simplicial import TriangulatedSet, _dec_attachment
 from .topology import edge_path_presentation, smith_normal_form, tietze_trivialize
 
@@ -144,14 +144,28 @@ class NCSurfaceDescription:
         }
 
 
+def _dec_int(v) -> int:
+    return int_tuple([v])[0]
+
+
+def _dec_pair(v) -> tuple[int, int]:
+    pair = int_tuple(v)
+    if len(pair) != 2:
+        raise ValueError(f"wants two entries, got {len(pair)}")
+    return pair
+
+
 def _dec_stratum(d: dict) -> Stratum:
+    def optional(key, decode):
+        return decode_field(d, key, decode) if key in d else None
+
     return Stratum(
         branches=d["branches"],
         branch_trivial=d.get("branch_trivial", True),
         attach=tuple(map(_dec_attachment, d.get("attach", []))),
-        chi_normalization=d.get("chi_normalization"),
-        normal_degrees=tuple(d["normal_degrees"]) if "normal_degrees" in d else None,
-        triple_count=d.get("triple_count"),
+        chi_normalization=optional("chi_normalization", _dec_int),
+        normal_degrees=optional("normal_degrees", _dec_pair),
+        triple_count=optional("triple_count", _dec_int),
     )
 
 

@@ -32,11 +32,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
+from math import factorial
 
 from .errors import ValidationError, decode_field, int_tuple
 
 SCHEMA_VERSION = 1
+
+# complex files may declare at most this many cells in total; the
+# tetrahedron's third subdivision has 2594
+MAX_FILE_CELLS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +81,14 @@ class SemiSimplicialSet:
         return self.faces[dim - 1][idx][k]
 
     def validate(self) -> None:
-        """Check id ranges and the identities d_i d_j = d_{j-1} d_i (i < j)."""
+        """Check id ranges and the identities d_i d_j = d_{j-1} d_i (i < j).
+
+        The check runs once per object; later calls return at once.
+        """
+        self._validated  # the first access runs the check
+
+    @cached_property
+    def _validated(self) -> bool:
         if self.num_vertices < 0:
             raise ValidationError("negative vertex count")
         for d in range(1, self.dimension + 1):
@@ -95,6 +108,12 @@ class SemiSimplicialSet:
                         b = self.face(d - 1, self.face(d, i, k), j - 1)
                         if a != b:
                             raise ValidationError(f"semi-simplicial identity fails at ({d},{i}), k={k}, j={j}")
+        return True
+
+    @cached_property
+    def triangulated(self) -> TriangulatedSet:
+        """This set through :func:`functor_p`, converted and validated once per object."""
+        return functor_p(self)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.count(d) for d in range(self.dimension + 1))
@@ -179,7 +198,14 @@ class TriangulatedSet:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        """Referential integrity, injectivity, and two-step coherence."""
+        """Referential integrity, injectivity, and two-step coherence.
+
+        The check runs once per object; later calls return at once.
+        """
+        self._validated  # the first access runs the check
+
+    @cached_property
+    def _validated(self) -> bool:
         if self.num_vertices < 0:
             raise ValidationError("negative vertex count")
         for d in range(1, self.dimension + 1):
@@ -214,6 +240,12 @@ class TriangulatedSet:
                                 raise ValidationError(
                                     f"coherence: facet ({d},{i}) slots {j},{k} disagree on slot {l}"
                                 )
+        return True
+
+    @cached_property
+    def incidence(self) -> _Incidence:
+        """The face incidence table the collapse layer reads, built once per object."""
+        return _Incidence.of(self)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.count(d) for d in range(self.dimension + 1))
@@ -228,6 +260,79 @@ class TriangulatedSet:
                 for level in self.attach
             ],
         }
+
+
+# ---------------------------------------------------------------------------
+# incidence tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """The incidence table the collapse layer reads.
+
+    ``cells`` lists the cells in (dim, id) order, so index order is the
+    lexicographic order; a set of alive cells is the bitmask of their
+    indices.  ``faces[h]`` holds the ``(g, multiplicity)`` pairs for every
+    proper face g of cell h, the multiplicity being the number of slot
+    subsets of h whose deletion gives g; ``cofaces[g]`` holds the same
+    pairs seen from g.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    faces: tuple[tuple[tuple[int, int], ...], ...]
+    cofaces: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, t: TriangulatedSet) -> _Incidence:
+        """Built from the one-slot attachments alone.
+
+        ``paths[h][g]`` counts the orders of deleting slots one at a time
+        that lead from h to g, itself included.  By coherence every order of
+        one slot subset of size k leads to the same face, so the multiplicity
+        is ``paths[h][g] / k!``.
+        """
+        cells = tuple((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
+        index = {c: k for k, c in enumerate(cells)}
+        paths: list[dict[int, int]] = []
+        faces, cofaces = [], [[] for _ in cells]
+        for h, (d, i) in enumerate(cells):
+            here = {h: 1}
+            for g, _ in t.attach[d - 1][i] if d else ():
+                for f, n in paths[index[(d - 1, g)]].items():
+                    here[f] = here.get(f, 0) + n
+            paths.append(here)
+            faces.append(tuple((f, n // factorial(d - cells[f][0])) for f, n in here.items() if f != h))
+            for f, m in faces[h]:
+                cofaces[f].append((h, m))
+        return cls(cells, tuple(faces), tuple(map(tuple, cofaces)))
+
+    def counts(self) -> list[int]:
+        """The total incidence of every cell from the other cells, all alive."""
+        return [sum(m for _, m in row) for row in self.cofaces]
+
+    def free_pairs(self, alive: int, count: list[int]) -> list[tuple[int, int]]:
+        """(face, unique coface) index pairs among ``alive``, by face.
+
+        ``count[g]`` must be g's total incidence from the other alive cells;
+        g is free when that is one, through a cell one dimension up.
+        """
+        cells, out = self.cells, []
+        for g, c in enumerate(count):
+            if c == 1 and alive >> g & 1:
+                f = next(h for h, _ in self.cofaces[g] if alive >> h & 1)
+                if cells[f][0] == cells[g][0] + 1:
+                    out.append((g, f))
+        return out
+
+    def is_vertex(self, alive: int) -> bool:
+        """Whether ``alive`` is a single vertex."""
+        return alive != 0 and alive & (alive - 1) == 0 and self.cells[alive.bit_length() - 1][0] == 0
+
+    def add(self, count: list[int], cell: int, sign: int) -> None:
+        """Add ``sign`` times ``cell``'s incidences on its faces to ``count``."""
+        for g, m in self.faces[cell]:
+            count[g] += sign * m
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +527,7 @@ def _as_tset(x) -> TriangulatedSet:
     if isinstance(x, TriangulatedSet):
         return x
     if isinstance(x, SemiSimplicialSet):
-        return functor_p(x)
+        return x.triangulated
     raise ValidationError(f"expected a complex, got {type(x).__name__}")
 
 
@@ -603,15 +708,20 @@ def complex_from_json_dict(data: dict):
     kind = data.get("kind")
     if kind not in ("ssset", "tset"):
         raise ValidationError("unknown complex kind")
-    num_vertices = decode_field(data, "dims", lambda dims: int_tuple(dims)[0] if dims else 0)
+    dims = decode_field(data, "dims", int_tuple)
     if kind == "ssset":
-        faces = decode_field(data, "faces", lambda v: tuple(tuple(int_tuple(f) for f in level) for level in v))
-        out = SemiSimplicialSet(num_vertices=num_vertices, faces=faces)
+        cls = SemiSimplicialSet
+        levels = decode_field(data, "faces", lambda v: tuple(tuple(int_tuple(f) for f in level) for level in v))
     else:
-        attach = decode_field(
+        cls = TriangulatedSet
+        levels = decode_field(
             data, "attach", lambda v: tuple(tuple(tuple(map(_dec_attachment, atts)) for atts in level) for level in v)
         )
-        out = TriangulatedSet(num_vertices=num_vertices, attach=attach)
+    if list(dims[1:]) != [len(level) for level in levels] or sum(dims) > MAX_FILE_CELLS:
+        raise ValidationError(
+            f"malformed field 'dims': {list(dims[:8])} must list the level sizes and total at most {MAX_FILE_CELLS} cells"
+        )
+    out = cls(dims[0] if dims else 0, levels)
     out.validate()
     return out
 

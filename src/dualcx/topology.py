@@ -1,16 +1,20 @@
 """Integer homology, collapsibility, and fundamental-group machinery.
 
 Everything here works on the facet encodings of :mod:`dualcx.simplicial`.
-Semi-simplicial input is converted through ``functor_p`` first; that keeps
-the facet lists, attachments, chain complexes and incidence counts literally
-identical, so no result depends on which encoding the caller holds.
+Semi-simplicial input is converted through ``functor_p`` first, once per
+object (``SemiSimplicialSet.triangulated``); that keeps the facet lists,
+attachments, chain complexes and incidence counts literally identical, so
+no result depends on which encoding the caller holds.  Each set validates
+once, and the collapse layer reads the incidence table it holds.
 
 Boundary maps of triangulated sets are computed directly on reduced facets
 with permutation-parity signs against the stored slot order.  This is the
 correctness-critical path: the flag functor is only homotopy-faithful for
 simple complexes, so homology never goes through it.
 
-All integer linear algebra is exact (Python integers, Smith normal form).
+All integer linear algebra is exact (Python integers).  Boundary maps are
+stored as sparse columns; their unit pivots are eliminated first, and only
+the leftover block goes to the Smith normal form.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby
 
 from .errors import BudgetError, ValidationError
-from .simplicial import SemiSimplicialSet, TriangulatedSet, _as_tset
+from .simplicial import SemiSimplicialSet, _as_tset, _Incidence
 
 MAX_HOMOLOGY_DIM = 4
 
@@ -174,31 +177,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return A, U, V
 
 
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def integer_det(matrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    a = [[Fraction(int(x)) for x in row] for row in matrix]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def lattice_span_index(vectors) -> int:
     """Index of the sublattice spanned by integer vectors; 0 if rank-deficient.
 
@@ -227,44 +205,55 @@ def lattice_span_index(vectors) -> int:
 
 @dataclass(frozen=True)
 class IntegerChainComplex:
-    """Ranks and integer boundary matrices; boundaries[n] maps degree n to n-1.
+    """Ranks and sparse integer boundary maps; boundaries[n] maps degree n to n-1.
 
-    boundaries[0] is the empty map out of degree 0.  The square-zero
-    identity is asserted at construction time.
+    ``boundaries[n][i]`` is column i of d_n as ``{row: coeff}`` with no zero
+    coefficients; boundaries[0] is the empty map out of degree 0.  The
+    shapes and the square-zero identity are checked at construction time,
+    column by column.
     """
 
     ranks: tuple[int, ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
+    boundaries: tuple[tuple[dict[int, int], ...], ...]
 
     def __post_init__(self):
         for n in range(1, len(self.ranks)):
-            mat = self.boundaries[n]
-            if len(mat) != self.ranks[n - 1] or any(len(r) != self.ranks[n] for r in mat):
+            cols = self.boundaries[n]
+            if len(cols) != self.ranks[n] or any(not 0 <= r < self.ranks[n - 1] for col in cols for r in col):
                 raise ValidationError(f"boundary {n} has wrong shape")
         for n in range(2, len(self.ranks)):
-            a = [list(r) for r in self.boundaries[n - 1]]
-            b = [list(r) for r in self.boundaries[n]]
-            if a and b and a[0]:
-                prod = _mat_mul(a, b)
-                if any(any(x != 0 for x in row) for row in prod):
+            below = self.boundaries[n - 1]
+            for col in self.boundaries[n]:
+                image: dict[int, int] = {}
+                for r, a in col.items():
+                    for s, b in below[r].items():
+                        image[s] = image.get(s, 0) + a * b
+                if any(image.values()):
                     raise ValidationError(f"boundary squared is nonzero in degree {n}")
 
     def boundary_matrix(self, n: int) -> list[list[int]]:
-        if n <= 0 or n >= len(self.ranks):
-            return [[0] * (self.ranks[n] if 0 <= n < len(self.ranks) else 0) for _ in range(0)]
-        return [list(r) for r in self.boundaries[n]]
+        """d_n as dense rows; empty outside degrees 1 .. top."""
+        if not 0 < n < len(self.ranks):
+            return []
+        rows = [[0] * self.ranks[n] for _ in range(self.ranks[n - 1])]
+        for i, col in enumerate(self.boundaries[n]):
+            for r, a in col.items():
+                rows[r][i] = a
+        return rows
 
 
 def _injection_parity(inj: tuple, deleted: int, dim: int) -> int:
     """Sign of the injection as a permutation of the target slot order."""
     images = [inj[j] for j in range(dim + 1) if j != deleted]
-    sign = 1
-    seen = list(images)
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            if seen[i] > seen[j]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in combinations(images, 2)) % 2 else 1
+
+
+def _column(terms) -> dict[int, int]:
+    """The sparse column summing ``(row, coeff)`` terms, zeros dropped."""
+    col: dict[int, int] = {}
+    for r, a in terms:
+        col[r] = col.get(r, 0) + a
+    return {r: a for r, a in col.items() if a}
 
 
 def chain_complex(x) -> IntegerChainComplex:
@@ -280,16 +269,13 @@ def chain_complex(x) -> IntegerChainComplex:
     t.validate()
     if t.dimension > MAX_HOMOLOGY_DIM:
         raise ValidationError(f"homology supported up to dimension {MAX_HOMOLOGY_DIM}")
-    ranks = t.counts()
-    boundaries: list[tuple[tuple[int, ...], ...]] = [tuple()]
+    boundaries: list[tuple[dict[int, int], ...]] = [()]
     for n in range(1, t.dimension + 1):
-        rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        for i in range(ranks[n]):
-            for k in range(n + 1):
-                g, inj = t.attachment(n, i, k)
-                rows[g][i] += (-1) ** k * _injection_parity(inj, k, n)
-        boundaries.append(tuple(tuple(r) for r in rows))
-    return IntegerChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries))
+        boundaries.append(tuple(
+            _column((g, (-1) ** k * _injection_parity(inj, k, n)) for k, (g, inj) in enumerate(atts))
+            for atts in t.attach[n - 1]
+        ))
+    return IntegerChainComplex(ranks=t.counts(), boundaries=tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -305,25 +291,73 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _matrix_rank_and_divisors(mat) -> tuple[int, list[int]]:
-    if not mat or not mat[0]:
-        return 0, []
-    D, _, _ = smith_normal_form(mat)
-    divisors = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0]
-    return len(divisors), divisors
+def _rank_and_torsion(columns) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above one of the matrix with these sparse columns.
+
+    Unit pivots are eliminated first, as in Kaczynski, Mrozek and Slusarek,
+    *Homology computation by reduction of chain complexes* (1998): a +-1
+    entry splits off a factor of one by unimodular column and row
+    operations, after which its row and column are dropped.  Rows are
+    taken shortest first, so a face left with one coface goes without
+    fill-in, as in a coreduction.  Only the leftover block, with no unit
+    entry, goes to :func:`smith_normal_form`.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    heap = [(len(js), r) for r, js in rows.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        n, r = heapq.heappop(heap)
+        if r not in rows or len(rows[r]) != n:
+            continue  # stale: the row was dropped or has changed length
+        j = min((j for j in rows[r] if cols[j][r] in (1, -1)), key=lambda j: (len(cols[j]), j), default=None)
+        if j is None:
+            continue  # no unit here; pushed again if its entries change
+        pivot = cols.pop(j)
+        unit = pivot.pop(r)
+        for s in pivot:
+            rows[s].discard(j)
+        for k in rows.pop(r) - {j}:
+            col = cols[k]
+            f = col.pop(r) * unit
+            for s, a in pivot.items():
+                v = col.get(s, 0) - f * a
+                if v:
+                    col[s] = v
+                    rows[s].add(k)
+                else:
+                    del col[s]
+                    rows[s].discard(k)
+        for s in pivot:
+            heapq.heappush(heap, (len(rows[s]), s))
+        rank += 1
+    left = sorted(j for j, col in cols.items() if col)
+    if not left:
+        return rank, ()
+    index = {r: i for i, r in enumerate(sorted(r for r, js in rows.items() if js))}
+    block = [[0] * len(left) for _ in index]
+    for c, j in enumerate(left):
+        for r, a in cols[j].items():
+            block[index[r]][c] = a
+    D, _, _ = smith_normal_form(block)
+    factors = [D[i][i] for i in range(min(len(index), len(left))) if D[i][i]]
+    return rank + len(factors), tuple(d for d in factors if d > 1)
 
 
 def homology(x, reduced: bool = False) -> list[HomologyGroup]:
-    """Integer homology in all degrees, via Smith normal form."""
+    """Integer homology in all degrees, from the invariant factors of each boundary map."""
     cc = chain_complex(x)
     top = len(cc.ranks)
-    # boundaries[n] = (rank, divisors) of d_n, with d_0 and d_top zero
-    boundaries = [(0, [])] + [_matrix_rank_and_divisors(cc.boundary_matrix(n)) for n in range(1, top)] + [(0, [])]
+    # (rank, torsion) of d_n, with d_0 and d_top zero
+    factors = [(0, ())] + [_rank_and_torsion(cc.boundaries[n]) for n in range(1, top)] + [(0, ())]
     out = []
     for n in range(top):
-        rank_dn1, divs = boundaries[n + 1]
-        betti = cc.ranks[n] - boundaries[n][0] - rank_dn1
-        out.append(HomologyGroup(betti, tuple(d for d in divs if d > 1)))
+        betti = cc.ranks[n] - factors[n][0] - factors[n + 1][0]
+        out.append(HomologyGroup(betti, factors[n + 1][1]))
     if reduced and out:
         out[0] = HomologyGroup(out[0].betti - 1, out[0].torsion)
     return out
@@ -338,72 +372,6 @@ def euler_characteristic(x) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coface_paths(t: TriangulatedSet) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    """paths[h][g] = number of nonempty slot subsets of facet h whose face is g."""
-    return {
-        (d, i): Counter(face for slots, face in t.iterated_faces(d, i).items() if slots)
-        for d in range(1, t.dimension + 1)
-        for i in range(t.count(d))
-    }
-
-
-@dataclass(frozen=True)
-class _Incidence:
-    """The incidence table the collapse layer reads.
-
-    ``cells`` lists the cells in (dim, id) order, so index order is the
-    lexicographic order; a set of alive cells is the bitmask of their
-    indices.  ``faces[h]`` holds the ``(g, multiplicity)`` pairs of
-    :func:`_coface_paths` for every proper face g of cell h, and
-    ``cofaces[g]`` the same pairs seen from g.
-    """
-
-    cells: tuple[tuple[int, int], ...]
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-    cofaces: tuple[tuple[tuple[int, int], ...], ...]
-
-    @classmethod
-    def of(cls, t: TriangulatedSet) -> _Incidence:
-        cells = tuple((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
-        index = {c: k for k, c in enumerate(cells)}
-        paths = _coface_paths(t)
-        faces = [[] for _ in cells]
-        cofaces = [[] for _ in cells]
-        for h, c in enumerate(cells):
-            for g, m in paths.get(c, {}).items():
-                if g != c:
-                    faces[h].append((index[g], m))
-                    cofaces[index[g]].append((h, m))
-        return cls(cells, tuple(map(tuple, faces)), tuple(map(tuple, cofaces)))
-
-    def counts(self) -> list[int]:
-        """The total incidence of every cell from the other cells, all alive."""
-        return [sum(m for _, m in row) for row in self.cofaces]
-
-    def free_pairs(self, alive: int, count: list[int]) -> list[tuple[int, int]]:
-        """(face, unique coface) index pairs among ``alive``, by face.
-
-        ``count[g]`` must be g's total incidence from the other alive cells;
-        g is free when that is one, through a cell one dimension up.
-        """
-        cells, out = self.cells, []
-        for g, c in enumerate(count):
-            if c == 1 and alive >> g & 1:
-                f = next(h for h, _ in self.cofaces[g] if alive >> h & 1)
-                if cells[f][0] == cells[g][0] + 1:
-                    out.append((g, f))
-        return out
-
-    def is_vertex(self, alive: int) -> bool:
-        """Whether ``alive`` is a single vertex."""
-        return alive != 0 and alive & (alive - 1) == 0 and self.cells[alive.bit_length() - 1][0] == 0
-
-    def add(self, count: list[int], cell: int, sign: int) -> None:
-        """Add ``sign`` times ``cell``'s incidences on its faces to ``count``."""
-        for g, m in self.faces[cell]:
-            count[g] += sign * m
-
-
 def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All (face, unique coface) pairs, incidence counted with multiplicity.
 
@@ -414,7 +382,7 @@ def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """
     t = _as_tset(x)
     t.validate()
-    table = _Incidence.of(t)
+    table = t.incidence
     full = (1 << len(table.cells)) - 1
     return [(table.cells[g], table.cells[f]) for g, f in table.free_pairs(full, table.counts())]
 
@@ -449,7 +417,7 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
         raise BudgetError("collapse search needs a positive budget")
     t = _as_tset(x)
     t.validate()
-    table = _Incidence.of(t)
+    table = t.incidence
     seen: set[int] = set()
     cert = _collapse_search(table, (1 << len(table.cells)) - 1, table.counts(), seen, budget)
     explored = len(seen)
@@ -493,7 +461,7 @@ def _collapse_search(table: _Incidence, alive: int, count: list[int], seen: set,
 
 def replay_collapse(x, certificate) -> bool:
     """Re-run a collapse certificate, checking every step is legal."""
-    table = _Incidence.of(_as_tset(x))
+    table = _as_tset(x).incidence
     index = {c: k for k, c in enumerate(table.cells)}
     alive = (1 << len(table.cells)) - 1
     count = table.counts()
@@ -638,23 +606,10 @@ class GroupPresentation:
             if free_reduce(rel) != rel:
                 raise ValidationError("relators must be freely reduced")
 
-    def exponent_matrix(self) -> list[list[int]]:
-        rows = []
-        for rel in self.relators:
-            row = [0] * self.num_generators
-            for x in rel:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        return rows
-
     def abelianization(self) -> HomologyGroup:
-        if self.num_generators == 0:
-            return HomologyGroup(0, ())
-        rows = self.exponent_matrix()
-        if not rows:
-            return HomologyGroup(self.num_generators, ())
-        rank, divisors = _matrix_rank_and_divisors(rows)
-        return HomologyGroup(self.num_generators - rank, tuple(d for d in divisors if d > 1))
+        exponents = [_column((abs(x) - 1, 1 if x > 0 else -1) for x in rel) for rel in self.relators]
+        rank, torsion = _rank_and_torsion(exponents)
+        return HomologyGroup(self.num_generators - rank, torsion)
 
 
 def presentation(num_generators: int, relators) -> GroupPresentation:

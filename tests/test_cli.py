@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dualcx.cli import main
+from dualcx.ncgeom import builtin_surface
 
 
 def run(capsys, *argv):
@@ -83,8 +84,11 @@ NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
         ("topo homology", "faces", lambda d: d.update(faces=[[["a", "0"]]])),
         ("topo homology", "faces", lambda d: d.pop("faces")),
         ("nc kulikov", "strata", lambda d: d.pop("strata")),
+        ("topo homology", "dims", lambda d: d["dims"].__setitem__(0, 10**9)),
+        ("topo collapse", "dims", lambda d: d.update(dims=[1, 2])),
     ],
-    ids=["no-P", "string-index", "float-index", "short-b", "string-face-id", "no-faces", "no-strata"],
+    ids=["no-P", "string-index", "float-index", "short-b", "string-face-id", "no-faces", "no-strata", "huge-dims",
+         "dims-off-levels"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     if command == "obs data":
@@ -93,6 +97,22 @@ def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     else:
         data = json.loads(json.dumps(NCSURF if command.startswith("nc") else CIRCLE))
     edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, *command.split(), str(bad))
+    assert code == 2
+    assert err.startswith("error: ") and repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "command, level, field, value",
+    [("nc chi", 0, "chi_normalization", "x"), ("nc kulikov", 1, "normal_degrees", "ab"),
+     ("nc kulikov", 1, "normal_degrees", [1, 2, 3]), ("nc kulikov", 1, "triple_count", 2.5)],
+    ids=["string-chi", "string-degrees", "three-degrees", "float-triple-count"],
+)
+def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, field, value):
+    data = builtin_surface("duncehat-surface").to_json_dict()
+    data["strata"][level][0][field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, _, err = run(capsys, *command.split(), str(bad))

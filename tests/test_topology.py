@@ -1,10 +1,13 @@
 """Homology, Smith form, collapsibility, presentations, subdivision."""
 
 import gc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dualcx import simplicial
 from dualcx.errors import BudgetError, ValidationError
 from dualcx.simplicial import (
     BUILTIN_COMPLEXES,
@@ -22,14 +25,13 @@ from dualcx.simplicial import (
 )
 from dualcx.topology import (
     CollapseResult,
-    _coface_paths,
+    IntegerChainComplex,
     barycentric_subdivision,
     chain_complex,
     edge_path_presentation,
     euler_characteristic,
     free_faces,
     homology,
-    integer_det,
     is_collapsible,
     lattice_span_index,
     presentation,
@@ -85,6 +87,27 @@ def test_smith_normal_form_examples():
     assert [D[0][0], D[1][1]] == [1, 1]
     D, _, _ = smith_normal_form([[3]])
     assert D[0][0] == 3
+
+
+def integer_det(matrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    a = [[Fraction(int(x)) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / inv
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def test_smith_normal_form_randomized_self_check():
@@ -347,6 +370,15 @@ def test_collapse_search_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def _coface_paths(t):
+    """paths[h][g] = number of nonempty slot subsets of facet h whose face is g."""
+    return {
+        (d, i): Counter(face for slots, face in t.iterated_faces(d, i).items() if slots)
+        for d in range(1, t.dimension + 1)
+        for i in range(t.count(d))
+    }
+
+
 def _reference_free_pairs(paths, alive):
     """(face, unique coface) pairs among ``alive``, sorted by face, by rescanning every pair."""
     out = []
@@ -418,3 +450,88 @@ def test_collapse_search_matches_the_rescan_reference():
             assert not replay_collapse(x, (cert[-1],) + cert[1:-1] + (cert[0],))
             certified += 1
     assert certified >= 3  # the 2-simplex at sd0-sd2, at budget 5,000 at least
+
+
+def _dense_rank_and_torsion(matrix):
+    """Rank and invariant factors above one, from the full Smith normal form."""
+    if not matrix or not matrix[0]:
+        return 0, ()
+    D, _, _ = smith_normal_form(matrix)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+    return len(diag), tuple(d for d in diag if d > 1)
+
+
+def _dense_groups(x):
+    """Homology from the Smith normal forms of the dense boundary matrices."""
+    cc = chain_complex(x)
+    top = len(cc.ranks)
+    factors = [(0, ())] + [_dense_rank_and_torsion(cc.boundary_matrix(n)) for n in range(1, top)] + [(0, ())]
+    return [(cc.ranks[n] - factors[n][0] - factors[n + 1][0], factors[n + 1][1]) for n in range(top)]
+
+
+def _dense_abelianization(p):
+    rows = [[0] * p.num_generators for _ in p.relators]
+    for row, rel in zip(rows, p.relators):
+        for x in rel:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+    rank, torsion = _dense_rank_and_torsion(rows)
+    return p.num_generators - rank, torsion
+
+
+def test_unit_pivot_reduction_matches_the_dense_smith_oracle():
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    bases = [build() for build in BUILTIN_COMPLEXES.values()]
+    bases += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex)]
+    for base in bases:
+        for level in (0, 1, 2):
+            x = _subdivided(base, level)
+            assert groups(x) == _dense_groups(x), (base.counts(), level)
+            p = edge_path_presentation(x)
+            ab = p.abelianization()
+            assert (ab.betti, ab.torsion) == _dense_abelianization(p), (base.counts(), level)
+    # torsion that only the leftover block sees: no unit entries at all
+    p = presentation(2, [(1, 1, 2, 2, 2, 2), (2,) * 6, (1,) * 4])
+    ab = p.abelianization()
+    assert (ab.betti, ab.torsion) == _dense_abelianization(p) == (0, (2, 2))
+
+
+def test_third_subdivisions_keep_the_homology():
+    for name, build in BUILTIN_COMPLEXES.items():
+        x = build()
+        assert groups(_subdivided(x, 3)) == groups(x), name
+    sphere = _subdivided(make_tetrahedron_boundary(), 3)
+    assert sphere.counts() == (434, 1296, 864)
+    assert [str(h) for h in homology(sphere)] == ["Z", "0", "Z"]
+
+
+def test_chain_complex_checks_shapes_and_square_zero():
+    IntegerChainComplex(ranks=(1, 1, 1), boundaries=((), ({},), ({0: 2},)))
+    with pytest.raises(ValidationError, match="squared"):
+        IntegerChainComplex(ranks=(1, 1, 1), boundaries=((), ({0: 1},), ({0: 1},)))
+    with pytest.raises(ValidationError, match="shape"):
+        IntegerChainComplex(ranks=(1, 1), boundaries=((), ({1: 1},)))
+    cc = chain_complex(make_tetrahedron_boundary())
+    assert cc.boundary_matrix(0) == [] and cc.boundary_matrix(3) == []
+    assert [len(cc.boundary_matrix(n)) for n in (1, 2)] == [4, 6]
+
+
+def test_one_conversion_per_complex(monkeypatch):
+    x = barycentric_subdivision(make_duncehat())
+    calls = []
+    real = simplicial.functor_p
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(simplicial, "functor_p", counting)
+
+    def results(x):
+        col = is_collapsible(x, budget=1_000)
+        return (groups(x), euler_characteristic(x), free_faces(x), col, replay_collapse(x, ()),
+                edge_path_presentation(x))
+
+    first = results(x)
+    assert len(calls) == 1 and calls[0] is x
+    assert results(x) == first and len(calls) == 1
+    assert results(SemiSimplicialSet(x.num_vertices, x.faces)) == first and len(calls) == 2
