@@ -4,8 +4,10 @@ Conventions
 -----------
 Cubics are parametrization-first: a curve is a degree-3 map from the
 projective line, stored as three binary cubics (X, Y, W).  The implicit
-equation is derived by a nullspace fit and every downstream quantity
-(nodes, flexes, intersections) reduces to one-variable root finding.
+equation and the node come from the map's moving-line basis (mu-basis),
+read off the coefficients of (X, Y, W) with no sampling; every other
+derived quantity (flexes, intersections) reduces to one-variable root
+finding.
 Each map keeps one table of its monomials X^a Y^b W^g per degree (two
 and three), built on first use; every composition of a ternary form with
 the map reads from it.
@@ -47,6 +49,7 @@ is cheap and silent perturbation would corrupt derivative tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,15 +86,6 @@ def _compose_terms(table, terms) -> Poly:
     for mon, c in terms:
         out = out + table[mon] * c  # array * scalar as in Poly's scalar product; c * array rounds differently
     return Poly(out)
-
-
-def _tern_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int, int], complex] = {}
-    for (i, j, k), ca in a.items():
-        for (p, q, r), cb in b.items():
-            key = (i + p, j + q, k + r)
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
 
 
 class TernaryCubic:
@@ -148,25 +142,6 @@ class TernaryCubic:
     def compose_map(self, gamma: "CubicMap") -> Poly:
         """The univariate polynomial F(X(t), Y(t), W(t)) along ``gamma``."""
         return _compose_terms(gamma.monomials(3), zip(MONOMIALS, self.coef))
-
-    def compose_linear(self, L) -> "TernaryCubic":
-        """The form F(L v): substitute linear coordinates."""
-        L = np.asarray(L, dtype=complex).reshape(3, 3)
-        forms = [
-            {(1, 0, 0): L[r][0], (0, 1, 0): L[r][1], (0, 0, 1): L[r][2]} for r in range(3)
-        ]
-        acc: dict[tuple[int, int, int], complex] = {}
-        for c, (a, b, g) in zip(self.coef, MONOMIALS):
-            term = {(0, 0, 0): c}
-            for _ in range(a):
-                term = _tern_mul(term, forms[0])
-            for _ in range(b):
-                term = _tern_mul(term, forms[1])
-            for _ in range(g):
-                term = _tern_mul(term, forms[2])
-            for key, val in term.items():
-                acc[key] = acc.get(key, 0.0) + val
-        return TernaryCubic([acc.get(mon, 0.0) for mon in MONOMIALS])
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +230,57 @@ class CubicMap:
 
 
 # ---------------------------------------------------------------------------
-# implicitization
+# the moving-line basis: implicit equation and node
 # ---------------------------------------------------------------------------
+
+# row m, column 9i + 3j + k: one when X_i X_j X_k is the monomial MONOMIALS[m]
+_CUBE_TO_MONOMIAL = np.array(
+    [[(ijk.count(0), ijk.count(1), ijk.count(2)) == mon for ijk in itertools.product(range(3), repeat=3)] for mon in MONOMIALS],
+    dtype=float,
+)
+
+
+def _moving_lines(gamma: CubicMap) -> tuple[np.ndarray, np.ndarray]:
+    """The mu-basis of the map: rows (a, b) and (q0, q1, q2).
+
+    The moving lines p(t) = a + t b and q(t) = q0 + t q1 + t^2 q2 satisfy
+    p(t) . gamma(t) = q(t) . gamma(t) = 0 identically.  p spans the
+    nullspace of the 5 x 6 coefficient system; q spans the nullspace of
+    the 6 x 9 one after two rows make it orthogonal to p and t p.  A
+    degree-1 nullspace of dimension above one means the coordinates share
+    a factor (the image is a conic, a line or a point).
+    """
+    c = np.zeros((4, 3), dtype=complex)  # row k: the t^k coefficients of (X, Y, W)
+    for col, coord in enumerate((gamma.x, gamma.y, gamma.w)):
+        c[: len(coord.coef), col] = coord.coef
+
+    def system(degree: int) -> np.ndarray:
+        # row j: the t^j coefficient of sum_i line_i . c[j - i]
+        m = np.zeros((4 + degree, 3 * degree + 3), dtype=complex)
+        for i in range(degree + 1):
+            m[i : i + 4, 3 * i : 3 * i + 3] = c
+        return m
+
+    _, s, vh = np.linalg.svd(system(1))
+    if s[4] <= 1e-6 * s[0]:
+        raise GuardError("degenerate-parametrization", "implicit nullspace has dimension above one")
+    p = np.conj(vh[5])
+    span_p = np.zeros((2, 9), dtype=complex)
+    span_p[0, :6] = span_p[1, 3:] = vh[5]  # conjugate rows: orthogonal to (p, 0) and (0, p)
+    q = np.conj(np.linalg.svd(np.vstack([system(2), span_p]))[2][8])
+    return p.reshape(2, 3), q.reshape(3, 3)
 
 
 def implicitize(gamma: CubicMap) -> TernaryCubic:
-    """Cubic form vanishing on the image, by a nullspace fit.
+    """Unit cubic form vanishing on the image: the resultant of the mu-basis.
 
-    Twenty samples of the parametrization feed a 10-column monomial
-    matrix; the answer is the right singular vector of the smallest
-    singular value.  A second small singular value means the nullspace is
-    not one-dimensional (degenerate parametrization) and is an error, as
-    is a poor residual.
+    Res_t(p, q) = (b.X)^2 (q0.X) - (a.X)(b.X)(q1.X) + (a.X)^2 (q2.X),
+    a sum of products of linear forms, collected into ``MONOMIALS`` order.
+    The held-out ``implicit_residual`` check tests the result independently.
     """
-    ts = 1.07 * np.exp(2j * np.pi * (np.arange(20) + 0.13) / 20) + (0.31 - 0.17j)
-    v = gamma.hom_many(ts)
-    nv = np.linalg.norm(v, axis=0)
-    if np.any(nv == 0.0):
-        raise GuardError("degenerate-parametrization", "common zero of the coordinate polynomials")
-    x, y, w = v / nv
-    _, s, vh = np.linalg.svd(np.stack([x**a * y**b * w**c for a, b, c in MONOMIALS], axis=1))
-    if s[8] <= 1e-6 * s[0]:
-        raise GuardError("degenerate-parametrization", "implicit nullspace has dimension above one")
-    if s[9] > 1e-8 * s[0]:
-        raise GuardError("degenerate-parametrization", "no cubic vanishes on the image")
-    f = TernaryCubic(np.conj(vh[9]))
+    (a, b), q = _moving_lines(gamma)
+    coef = _CUBE_TO_MONOMIAL @ np.einsum("ni,nj,nk->ijk", np.array([b, a, a]), np.array([b, -b, a]), q).ravel()
+    f = TernaryCubic(coef / np.linalg.norm(coef))
     check = implicit_residual(gamma, f)
     if check > 1e-8:
         raise GuardError("implicitization-residual", f"fit residual {check:.2e} above 1.00e-08")
@@ -293,101 +294,21 @@ def implicit_residual(gamma: CubicMap, f: TernaryCubic) -> float:
     return float(np.max(np.abs(f.eval_many(*(v / np.linalg.norm(v, axis=0)))))) / f.norm()
 
 
-# ---------------------------------------------------------------------------
-# node finding
-# ---------------------------------------------------------------------------
-
-
-def _divided_minor(p: Poly, q: Poly) -> np.ndarray:
-    """(p(u) q(v) - p(v) q(u)) / (u - v) as a bidegree-(2,2) array S[a][b]."""
-    pc = np.zeros(4, dtype=complex)
-    qc = np.zeros(4, dtype=complex)
-    pc[: len(p.coef)] = p.coef
-    qc[: len(q.coef)] = q.coef
-    S = np.zeros((3, 3), dtype=complex)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cij = pc[i] * qc[j] - pc[j] * qc[i]
-            if cij == 0:
-                continue
-            # (u^i v^j - u^j v^i)/(u - v) = -sum_l u^(i+l) v^(j-1-l)
-            for l in range(j - i):
-                S[i + l][j - 1 - l] += -cij
-    return S
-
-
-def _poly_matrix_det(mat: list[list[Poly]]) -> Poly:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = Poly([0.0])
-    for j in range(n):
-        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = mat[0][j] * _poly_matrix_det(minor)
-        out = out + ((-1) ** j) * term
-    return out
-
-
 def find_node(gamma: CubicMap) -> tuple[complex, complex]:
-    """The unique double point parameters (u, v), u != v, of a 1-nodal cubic.
+    """The double point parameters (u, v), u != v, of a 1-nodal cubic.
 
-    Solved through the three divided-difference minors of the coordinate
-    pairs: their common off-diagonal zeros are exactly the parameter pairs
-    with equal image.  A resultant in one variable produces candidates,
-    verification against the parametrization filters them, and anything
-    other than exactly one pair is rejected (cusp, extra nodes, or a
-    degenerate map).
+    Every line p(t) of the mu-basis passes through the singular point
+    N = a x b, and q(u) . N = 0 exactly where gamma(u) = N, so the node
+    parameters are the roots of the quadratic q(t) . N.  A double root (a
+    cusp) or a root at the infinite parameter is rejected.
     """
-    sxy = _divided_minor(gamma.x, gamma.y)
-    sxw = _divided_minor(gamma.x, gamma.w)
-    syw = _divided_minor(gamma.y, gamma.w)
-
-    def v_coeffs(S) -> list[Poly]:
-        return [Poly(S[:, b]).trim() for b in range(3)]  # coefficient of v^b, a Poly in u
-
-    pairs_found: list[tuple[complex, complex]] = []
-    minors = [sxy, sxw, syw]
-    for first, second, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        A = v_coeffs(minors[first])
-        B = v_coeffs(minors[second])
-        syl = [
-            [A[2], A[1], A[0], Poly([0.0])],
-            [Poly([0.0]), A[2], A[1], A[0]],
-            [B[2], B[1], B[0], Poly([0.0])],
-            [Poly([0.0]), B[2], B[1], B[0]],
-        ]
-        res = _poly_matrix_det(syl).trim(rel=1e-9)
-        if res.is_zero() or res.degree < 1:
-            continue
-        for u in aberth_roots(res, tol=1e-9):
-            quad = Poly([complex(c(u)) for c in A]).trim(rel=1e-9)
-            if quad.degree < 1:
-                continue
-            for v in aberth_roots(quad, tol=1e-9):
-                if chordal(u, v) <= 1e-6:
-                    continue
-                gu, gv = gamma.hom(u), gamma.hom(v)
-                cross = np.linalg.norm(np.cross(gu, gv)) / (np.linalg.norm(gu) * np.linalg.norm(gv))
-                if cross <= 1e-7:
-                    pairs_found.append((u, v))
-        if pairs_found:
-            break
-    # deduplicate unordered pairs
-    unique: list[tuple[complex, complex]] = []
-    for u, v in pairs_found:
-        for uu, vv in unique:
-            if (chordal(u, uu) <= 1e-6 and chordal(v, vv) <= 1e-6) or (
-                chordal(u, vv) <= 1e-6 and chordal(v, uu) <= 1e-6
-            ):
-                break
-        else:
-            unique.append((u, v))
-    if len(unique) != 1:
-        raise GuardError(
-            "not-one-node",
-            f"expected exactly one double point, found {len(unique)} (cuspidal, reducible, or degenerate input)",
-        )
-    return unique[0]
+    (a, b), q = _moving_lines(gamma)
+    roots = np.roots((q @ np.cross(a, b))[::-1])
+    if len(roots) != 2:
+        raise GuardError("not-one-node", "a node preimage sits at the infinite parameter")
+    if chordal(roots[0], roots[1]) <= 1e-6:
+        raise GuardError("not-one-node", "the node quadratic has a double root (cuspidal cubic)")
+    return complex(roots[0]), complex(roots[1])
 
 
 # ---------------------------------------------------------------------------
@@ -937,17 +858,17 @@ def affine_direction(c: Construct, side: str) -> AffineFamilyDirection:
 
 
 def transport_cubic(cubic: NodalCubic, a: AffineMapPlane) -> NodalCubic:
-    """Move a nodal cubic by a plane affine map, exactly on coefficients.
+    """Move a nodal cubic by a plane affine map.
 
-    The parametrization composes with the map; the implicit form composes
-    with the inverse and is then residue-renormalized (a no-op for volume
-    preserving maps, an exact scale fix otherwise).  Node parameters and
-    flex parameters are untouched by construction; flexes are re-derived
-    and matched as an assertion.
+    The parametrization composes with the map, exactly on coefficients;
+    the implicit form is re-derived from the moved map by ``implicitize``
+    and residue-normalized at the first node preimage, so the rebuild
+    checks the moved equation independently of the original one.  Node
+    parameters and flex parameters are untouched by construction; flexes
+    are re-derived and matched as an assertion.
     """
     g2 = cubic.gamma.transformed(a.homogeneous())
-    f2 = cubic.f.compose_linear(a.inverse().homogeneous())
-    f2 = normalize_residue(g2, f2, cubic.node[0])
+    f2 = normalize_residue(g2, implicitize(g2), cubic.node[0])
     flex2 = flexes(g2, node=cubic.node)
     psi2 = None
     for phi in flex2:

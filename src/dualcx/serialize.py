@@ -10,6 +10,7 @@ guards, which keeps files small and makes tampering loud.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 from .cubics import Construct, CubicMap, NodalCubic, intersect, make_construct, nodal_cubic
@@ -26,7 +27,10 @@ def _enc_complex(z: complex) -> list[str]:
 
 def _dec_complex(pair) -> complex:
     real, imag = pair
-    return complex(float(real), float(imag))
+    z = complex(float(real), float(imag))
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite number {pair!r}")
+    return z
 
 
 def _enc_poly(p: Poly) -> list[list[str]]:

@@ -81,17 +81,23 @@ NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
         ("obs data", "intersection_index", lambda d: d.update(intersection_index="x")),
         ("obs data", "intersection_index", lambda d: d.update(intersection_index=0.7)),
         ("obs data", "b", lambda d: d.update(b=[1])),
+        ("obs data", "P", lambda d: d["P"]["x"][0].__setitem__(0, "nan")),
+        ("cubic validate", "P", lambda d: d["P"]["x"][0].__setitem__(0, "nan")),
+        ("obs data", "b", lambda d: d["b"].__setitem__(1, "inf")),
+        ("cubic validate", "b", lambda d: d["b"].__setitem__(1, "inf")),
+        ("cubic validate", "Q", lambda d: d["Q"]["node"][1].__setitem__(0, "-inf")),
         ("topo homology", "faces", lambda d: d.update(faces=[[["a", "0"]]])),
         ("topo homology", "faces", lambda d: d.pop("faces")),
         ("nc kulikov", "strata", lambda d: d.pop("strata")),
         ("topo homology", "dims", lambda d: d["dims"].__setitem__(0, 10**9)),
         ("topo collapse", "dims", lambda d: d.update(dims=[1, 2])),
     ],
-    ids=["no-P", "string-index", "float-index", "short-b", "string-face-id", "no-faces", "no-strata", "huge-dims",
+    ids=["no-P", "string-index", "float-index", "short-b", "nan-in-P", "nan-in-P-validate", "inf-in-b",
+         "inf-in-b-validate", "inf-in-Q-node", "string-face-id", "no-faces", "no-strata", "huge-dims",
          "dims-off-levels"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
-    if command == "obs data":
+    if command in ("obs data", "cubic validate"):
         run(capsys, "cubic", "random", "--seed", "6", "--out", str(tmp_path / "c.json"))
         data = json.loads((tmp_path / "c.json").read_text())
     else:

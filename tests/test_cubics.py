@@ -24,7 +24,10 @@ from dualcx.cubics import (
     random_construct,
     residue_at_node_preimage,
     transport_construct,
+    transport_cubic,
 )
+from dualcx.obstruction import seeded_family
+from dualcx.serialize import construct_from_json, construct_to_json
 
 # the standard nodal cubic y^2 = x^2 (x + 1), parametrized by pencil slope
 STD = CubicMap(Poly([-1, 0, 1]), Poly([0, -1, 0, 1]), Poly([1]))
@@ -49,8 +52,9 @@ def test_implicitize_standard_curve():
 def test_implicitize_rejects_degenerate():
     common = poly_from_roots([0.3, -1.2])
     degenerate = CubicMap(common * Poly([1.0, 0.5]), common * Poly([-0.7, 1.1]), common * Poly([2.0, -0.3]))
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError) as err:
         implicitize(degenerate)
+    assert err.value.reason == "degenerate-parametrization"
 
 
 def test_implicitize_projective_invariance():
@@ -70,8 +74,44 @@ def test_find_node_standard_curve():
 def test_find_node_rejects_cuspidal():
     # the cuspidal cubic y^2 = x^3 has a cusp, not a node
     cusp = CubicMap(Poly([0, 0, 1]), Poly([0, 0, 0, 1]), Poly([1]))
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError) as err:
         find_node(cusp)
+    assert err.value.reason == "not-one-node"
+
+
+def _same_node(found, placed) -> float:
+    """Chordal distance between two unordered pairs of node parameters."""
+    (u, v), (u0, v0) = found, placed
+    return min(max(chordal(u, u0), chordal(v, v0)), max(chordal(u, v0), chordal(v, u0)))
+
+
+def test_find_node_recovers_the_constructed_node():
+    # random cubics place their node by linear algebra; moved members keep it
+    cubics = [cubic for c in map(random_construct, range(60)) for cubic in (c.p, c.q)]
+    cubics += [cubic for member in seeded_family(1000001, 5)[1:] for cubic in (member.p, member.q)]
+    for cubic in cubics:
+        assert _same_node(find_node(cubic.gamma), cubic.node) <= 1e-12
+
+
+def test_moved_members_reload_from_their_files():
+    # moved members whose image of a fixed parameter circle is a short arc:
+    # members 1-3 of the first family, 3 of the second and 1 and 4 of the third
+    for seed in (1000001, 1000012, 1000013):
+        for member in seeded_family(seed, 5):
+            back = construct_from_json(construct_to_json(member))
+            assert chordal(back.n_p, member.n_p) <= 1e-12 and chordal(back.n_q, member.n_q) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [
+    AffineMapPlane(((1.1, 0.3 - 0.2j), (-0.4j, 0.9)), (0.2, -0.1 + 0.05j)),
+    AffineMapPlane(((1.2, 0.1 - 0.3j), (0.2j, 0.8 + 0.1j)), (0.3, -0.7)),
+])
+def test_transported_equation_is_the_moved_form(a):
+    # the re-derived, residue-normalized equation is det(A) f o A^-1
+    c = random_construct(11)
+    moved = transport_cubic(c.p, a)
+    for x in (np.array([0.3 + 0.1j, -0.7]), np.array([1.4, 0.2 - 0.9j]), c.q.node_point):
+        assert abs(moved.f_value(a(x)) - a.det() * c.p.f_value(x)) <= 1e-10 * abs(c.p.f_value(x))
 
 
 def test_flexes_standard_curve():
@@ -383,7 +423,7 @@ def _residual_reference(gamma, f):
 
 
 def test_batched_implicitize_matches_the_scalar_reference():
-    # the array pass rounds differently from the per-point one: equal to 1e-12
+    # the moving-line resultant against the sampled nullspace fit: equal to 1e-12
     for seed in range(10):
         c = random_construct(seed)
         for cubic, other in ((c.p, c.q), (c.q, c.p)):
