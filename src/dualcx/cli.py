@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetError, DualcxError, GuardError, RootFindingError, ValidationError
 from .numerics import DEFAULT_TOL, Tolerances
-from . import simplicial, topology, ncgeom, cubics, obstruction
+from . import accept, simplicial, topology, ncgeom, cubics, obstruction
 from .serialize import construct_from_json, construct_to_json
 
 SCHEMA = "dualcx-report/1"
@@ -288,15 +288,8 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def reproduce_checks(quick: bool, tol: Tolerances) -> list[dict]:
-    """Every acceptance verdict, as one machine-readable list."""
-    from . import accept
-
-    return accept.run_all(quick=quick, tol=tol)
-
-
 def cmd_reproduce(args, tol) -> tuple[dict, bool]:
-    checks = reproduce_checks(args.quick, tol)
+    checks = accept.run_all(quick=args.quick, tol=tol)
     passed = all(c["passed"] for c in checks)
     return {"quick": args.quick, "checks": checks, "all_passed": passed}, passed
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import GuardError, ValidationError, decode_field, int_tuple
@@ -64,9 +65,9 @@ class NCSurfaceDescription:
     """Strata of a normal-crossing surface plus numeric decorations.
 
     strata[0] are components, strata[1] double curves, strata[2] triple
-    points.  Validation mirrors the triangulated-set coherence condition
-    and checks the declared triple-point counts against the continuation
-    incidences.
+    points.  Validation checks the branch counts, validates the dual
+    complex (``triangulated``, built once per object), and checks the
+    declared triple-point counts against the continuation incidences.
     """
 
     strata: tuple[tuple[Stratum, ...], tuple[Stratum, ...], tuple[Stratum, ...]]
@@ -82,27 +83,15 @@ class NCSurfaceDescription:
         return self.strata[2]
 
     def validate(self) -> None:
+        """Branch counts, the dual complex's coherence, and the declared triple counts."""
         for k, level in enumerate(self.strata):
             for i, st in enumerate(level):
                 if st.branches != k + 1:
                     raise ValidationError(f"stratum ({k},{i}) has {st.branches} branches, wants {k + 1}")
-                if k == 0:
-                    if st.attach:
-                        raise ValidationError("components have no continuation maps")
-                    continue
-                if len(st.attach) != st.branches:
-                    raise ValidationError(f"stratum ({k},{i}) needs one continuation per branch")
-                below = self.strata[k - 1]
-                for b, (tgt, inj) in enumerate(st.attach):
-                    if not (0 <= tgt < len(below)):
-                        raise ValidationError(f"stratum ({k},{i}) branch {b} continues to a missing stratum")
-                    if len(inj) != st.branches or inj[b] is not None:
-                        raise ValidationError(f"stratum ({k},{i}) branch {b} has a malformed injection")
-                    vals = [inj[j] for j in range(st.branches) if j != b]
-                    if sorted(vals) != list(range(k)):
-                        raise ValidationError(f"stratum ({k},{i}) branch {b} injection is not onto the target branches")
-        # coherence is delegated to the triangulated-set check
-        self._as_tset_unchecked().validate()
+                if k == 0 and st.attach:
+                    raise ValidationError("components have no continuation maps")
+        # targets, injections and coherence are the triangulated-set checks
+        self.triangulated
         # declared triple counts must match continuation incidences
         incidences = [0] * len(self.strata[1])
         for tp in self.strata[2]:
@@ -114,14 +103,13 @@ class NCSurfaceDescription:
                     f"double curve {i} declares {dc.triple_count} triple points, continuations give {incidences[i]}"
                 )
 
-    def _as_tset_unchecked(self) -> TriangulatedSet:
-        levels = []
-        for k in (1, 2):
-            level = tuple(
-                tuple((tgt, tuple(inj)) for tgt, inj in st.attach) for st in self.strata[k]
-            )
-            levels.append(level)
-        return TriangulatedSet(num_vertices=len(self.strata[0]), attach=tuple(levels))
+    @cached_property
+    def triangulated(self) -> TriangulatedSet:
+        """The dual complex: strata as reduced facets, branches as slots; built and validated once per object."""
+        levels = (tuple(tuple((g, tuple(inj)) for g, inj in st.attach) for st in level) for level in self.strata[1:])
+        t = TriangulatedSet(num_vertices=len(self.strata[0]), attach=tuple(levels))
+        t.validate()
+        return t
 
     def to_json_dict(self) -> dict:
         def stratum_dict(st: Stratum) -> dict:
@@ -155,13 +143,19 @@ def _dec_pair(v) -> tuple[int, int]:
     return pair
 
 
+def _dec_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"wants true or false, got {v!r}")
+    return v
+
+
 def _dec_stratum(d: dict) -> Stratum:
     def optional(key, decode):
         return decode_field(d, key, decode) if key in d else None
 
     return Stratum(
         branches=d["branches"],
-        branch_trivial=d.get("branch_trivial", True),
+        branch_trivial=decode_field(d, "branch_trivial", _dec_bool) if "branch_trivial" in d else True,
         attach=tuple(map(_dec_attachment, d.get("attach", []))),
         chi_normalization=optional("chi_normalization", _dec_int),
         normal_degrees=optional("normal_degrees", _dec_pair),
@@ -206,9 +200,7 @@ def dual_complex(desc: NCSurfaceDescription) -> TriangulatedSet:
                     f"stratum ({k},{i}) has a nontrivial branch system; the dual complex is undefined "
                     "(a surface glued along an elliptic curve by a free involution is the standard example)",
                 )
-    t = desc._as_tset_unchecked()
-    t.validate()
-    return t
+    return desc.triangulated
 
 
 # ---------------------------------------------------------------------------

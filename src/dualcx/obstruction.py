@@ -91,20 +91,12 @@ def vanishing_scale(tau: complex, n: complex) -> complex:
 
     In the coordinate tau' = tau / n the formula reads
     tau' (tau' - 1) / (tau' - 2)^3 for every n, which is what makes its
-    mark derivatives functions of n alone.
+    mark derivatives functions of n alone.  The factor tau matters: the
+    variant n^2 (tau - n)/(tau - 2n)^3 takes the value 1/8 at tau = 0
+    independently of n and has a double zero at infinity, so it cannot
+    serve as a section scale that vanishes simply at all three marks.
     """
     return n * tau * (tau - n) / (tau - 2 * n) ** 3
-
-
-def offset_scale(tau: complex, n: complex) -> complex:
-    """The non-vanishing variant n^2 (tau - n)/(tau - 2n)^3.
-
-    Takes the value 1/8 at tau = 0 independently of n and has a double
-    zero at infinity, so it cannot serve as a section scale that vanishes
-    simply at all three marks; kept only as documentation of the pitfall
-    and exercised by the tests.
-    """
-    return n**2 * (tau - n) / (tau - 2 * n) ** 3
 
 
 def scale_derivatives(n: complex) -> tuple[complex, complex, complex]:

@@ -181,20 +181,6 @@ class TriangulatedSet:
         out = {k: tmap[inj[k]] for k in range(dim + 1) if k not in slots}
         return tdim, tidx, out
 
-    def iterated_faces(self, dim: int, idx: int) -> dict[frozenset[int], tuple[int, int]]:
-        """All faces of one facet, indexed by the deleted slot subset."""
-        out: dict[frozenset[int], tuple[int, int]] = {frozenset(): (dim, idx)}
-        for size in range(1, dim + 1):
-            for subset in combinations(range(dim + 1), size):
-                fs = frozenset(subset)
-                d, i, _ = self.delete_slots(dim, idx, fs)
-                out[fs] = (d, i)
-        return out
-
-    def face_closure(self, dim: int, idx: int) -> set[tuple[int, int]]:
-        """Set of (dim, id) of all iterated faces, the facet included."""
-        return set(self.iterated_faces(dim, idx).values())
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
@@ -244,7 +230,8 @@ class TriangulatedSet:
 
     @cached_property
     def incidence(self) -> _Incidence:
-        """The face incidence table the collapse layer reads, built once per object."""
+        """The one face relation of a validated set: faces, cofaces and their
+        multiplicities, built once per object."""
         return _Incidence.of(self)
 
     def euler_characteristic(self) -> int:
@@ -269,17 +256,19 @@ class TriangulatedSet:
 
 @dataclass(frozen=True)
 class _Incidence:
-    """The incidence table the collapse layer reads.
+    """The face incidence table of a triangulated set.
 
     ``cells`` lists the cells in (dim, id) order, so index order is the
     lexicographic order; a set of alive cells is the bitmask of their
-    indices.  ``faces[h]`` holds the ``(g, multiplicity)`` pairs for every
-    proper face g of cell h, the multiplicity being the number of slot
-    subsets of h whose deletion gives g; ``cofaces[g]`` holds the same
-    pairs seen from g.
+    indices, and ``index`` maps a cell back to its index.  ``faces[h]``
+    holds the ``(g, multiplicity)`` pairs for every proper face g of cell
+    h, the multiplicity being the number of slot subsets of h whose
+    deletion gives g; ``cofaces[g]`` holds the same pairs seen from g, in
+    index order.
     """
 
     cells: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
     faces: tuple[tuple[tuple[int, int], ...], ...]
     cofaces: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -305,7 +294,7 @@ class _Incidence:
             faces.append(tuple((f, n // factorial(d - cells[f][0])) for f, n in here.items() if f != h))
             for f, m in faces[h]:
                 cofaces[f].append((h, m))
-        return cls(cells, tuple(faces), tuple(map(tuple, cofaces)))
+        return cls(cells, index, tuple(faces), tuple(map(tuple, cofaces)))
 
     def counts(self) -> list[int]:
         """The total incidence of every cell from the other cells, all alive."""
@@ -444,27 +433,13 @@ def functor_q(t: TriangulatedSet) -> SemiSimplicialSet:
     functor.
     """
     t.validate()
-    nodes: list[tuple[int, int]] = []
-    for d in range(t.dimension + 1):
-        nodes += [(d, i) for i in range(t.count(d))]
-    node_id = {nd: k for k, nd in enumerate(nodes)}
-    below: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for d, i in nodes:
-        below[(d, i)] = t.face_closure(d, i) - {(d, i)}
-
-    chains_by_len: list[list[tuple[int, ...]]] = [[(node_id[nd],) for nd in nodes]]
+    table = t.incidence
+    chains_by_len: list[list[tuple[int, ...]]] = [[(h,) for h in range(len(table.cells))]]
     id_by_chain: list[dict[tuple[int, ...], int]] = [{c: k for k, c in enumerate(chains_by_len[0])}]
     while True:
-        prev = chains_by_len[-1]
-        nxt = []
-        for chain in prev:
-            top = nodes[chain[-1]]
-            for nd in nodes:
-                if top in below[nd]:
-                    nxt.append(chain + (node_id[nd],))
+        nxt = sorted(chain + (h,) for chain in chains_by_len[-1] for h, _ in table.cofaces[chain[-1]])
         if not nxt:
             break
-        nxt = sorted(set(nxt))
         chains_by_len.append(nxt)
         id_by_chain.append({c: k for k, c in enumerate(nxt)})
 
@@ -524,28 +499,18 @@ def _order_preserving(t: TriangulatedSet, orders: dict, d: int, i: int) -> bool:
 
 
 def _as_tset(x) -> TriangulatedSet:
-    if isinstance(x, TriangulatedSet):
-        return x
+    """The complex as a validated triangulated set, converted and validated once per object."""
     if isinstance(x, SemiSimplicialSet):
         return x.triangulated
-    raise ValidationError(f"expected a complex, got {type(x).__name__}")
+    if not isinstance(x, TriangulatedSet):
+        raise ValidationError(f"expected a complex, got {type(x).__name__}")
+    x.validate()
+    return x
 
 
 def is_simple(x) -> bool:
-    """No facet has coinciding faces of any codimension."""
-    t = _as_tset(x)
-    t.validate()
-    for d in range(1, t.dimension + 1):
-        for i in range(t.count(d)):
-            faces = t.iterated_faces(d, i)
-            by_size: dict[int, list[tuple[int, int]]] = {}
-            for subset, tgt in faces.items():
-                if subset:
-                    by_size.setdefault(len(subset), []).append(tgt)
-            for _, tgts in by_size.items():
-                if len(set(tgts)) != len(tgts):
-                    return False
-    return True
+    """No facet has coinciding faces of any codimension: every incidence multiplicity is one."""
+    return all(m == 1 for row in _as_tset(x).incidence.faces for _, m in row)
 
 
 def is_strictly_simple(x) -> bool:
@@ -553,13 +518,10 @@ def is_strictly_simple(x) -> bool:
     t = _as_tset(x)
     if not is_simple(t):
         return False
-    facets = [(d, i) for d in range(t.dimension + 1) for i in range(t.count(d))]
-    closures = {f: t.face_closure(*f) for f in facets}
-    for a, b in combinations(facets, 2):
-        common = closures[a] & closures[b]
-        if not common:
-            continue
-        if not any(common <= closures[m] for m in common):
+    closures = [{h} | {g for g, _ in row} for h, row in enumerate(t.incidence.faces)]
+    for a, b in combinations(closures, 2):
+        common = a & b
+        if common and not any(common <= closures[m] for m in common):
             return False
     return True
 
@@ -585,8 +547,9 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     t2.validate()
     if t1.counts() != t2.counts():
         return False
-    order = _anchored_order(_closures(t1))
-    up2 = _cofaces(_closures(t2))
+    order = _anchored_order(t1.incidence)
+    table2 = t2.incidence
+    cells2 = table2.cells
     facet_map: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     used: set[tuple[int, int]] = set()
     # depth first over ``order``: one candidate iterator per level, and per
@@ -597,10 +560,12 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
         if len(levels) == len(trails):
             (d, _), anchor = order[len(trails)]
             if anchor is None:
-                pool = [(d, i) for i in range(t2.count(d))]
+                pool = range(len(cells2))
             else:
-                pool = up2.get((anchor[0], facet_map[anchor][0]), ())
-            images = [i for dd, i in pool if dd == d and (d, i) not in used and (d, i) not in up2]
+                pool = [h for h, _ in table2.cofaces[table2.index[(anchor[0], facet_map[anchor][0])]]]
+            images = [
+                cells2[h][1] for h in pool if cells2[h][0] == d and not table2.cofaces[h] and cells2[h] not in used
+            ]
             levels.append(product(images, permutations(range(d + 1))))
         for img, perm in levels[-1]:
             trail = _map_closure(t1, t2, facet_map, used, order[len(trails)][0], img, perm)
@@ -615,33 +580,19 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     return True
 
 
-def _closures(t: TriangulatedSet) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    """Every facet's iterated faces, itself included."""
-    out = {(0, i): {(0, i)} for i in range(t.num_vertices)}
-    for d in range(1, t.dimension + 1):
-        for i, atts in enumerate(t.attach[d - 1]):
-            out[(d, i)] = {(d, i)}.union(*(out[(d - 1, g)] for g, _ in atts))
-    return out
-
-
-def _cofaces(closures: dict) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """For each facet that is a face of others, the facets over it, in any codimension."""
-    up: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for facet, faces in closures.items():
-        for face in faces - {facet}:
-            up.setdefault(face, []).append(facet)
-    return up
-
-
-def _anchored_order(closures: dict) -> list:
+def _anchored_order(table: _Incidence) -> list:
     """The maximal facets in search order, each with an anchor.
 
     The anchor is the highest-dimensional face the facet shares with the
     facets before it, or None when it shares none.  Facets with the
     highest-dimensional anchor go first, then higher dimensions, then ids.
     """
-    up = _cofaces(closures)
-    closures = {f: closures[f] for f in sorted(closures, key=lambda f: (-f[0], f[1])) if f not in up}
+    cells = table.cells
+    closures = {
+        cells[h]: {cells[h]} | {cells[g] for g, _ in table.faces[h]}
+        for h in sorted(range(len(cells)), key=lambda h: (-cells[h][0], h))
+        if not table.cofaces[h]
+    }
     covered: set[tuple[int, int]] = set()
     order = []
     while closures:

@@ -5,7 +5,8 @@ Semi-simplicial input is converted through ``functor_p`` first, once per
 object (``SemiSimplicialSet.triangulated``); that keeps the facet lists,
 attachments, chain complexes and incidence counts literally identical, so
 no result depends on which encoding the caller holds.  Each set validates
-once, and the collapse layer reads the incidence table it holds.
+once, and every face, coface and multiplicity comes from the one incidence
+table it holds.
 
 Boundary maps of triangulated sets are computed directly on reduced facets
 with permutation-parity signs against the stored slot order.  This is the
@@ -266,7 +267,6 @@ def chain_complex(x) -> IntegerChainComplex:
     preserving and this reduces to the alternating face sum.
     """
     t = _as_tset(x)
-    t.validate()
     if t.dimension > MAX_HOMOLOGY_DIM:
         raise ValidationError(f"homology supported up to dimension {MAX_HOMOLOGY_DIM}")
     boundaries: list[tuple[dict[int, int], ...]] = [()]
@@ -380,9 +380,7 @@ def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     dimension up.  The dunce hat edge sits three times inside its one
     triangle, so it is not free.
     """
-    t = _as_tset(x)
-    t.validate()
-    table = t.incidence
+    table = _as_tset(x).incidence
     full = (1 << len(table.cells)) - 1
     return [(table.cells[g], table.cells[f]) for g, f in table.free_pairs(full, table.counts())]
 
@@ -415,9 +413,7 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     """
     if budget <= 0:
         raise BudgetError("collapse search needs a positive budget")
-    t = _as_tset(x)
-    t.validate()
-    table = t.incidence
+    table = _as_tset(x).incidence
     seen: set[int] = set()
     cert = _collapse_search(table, (1 << len(table.cells)) - 1, table.counts(), seen, budget)
     explored = len(seen)
@@ -462,12 +458,11 @@ def _collapse_search(table: _Incidence, alive: int, count: list[int], seen: set,
 def replay_collapse(x, certificate) -> bool:
     """Re-run a collapse certificate, checking every step is legal."""
     table = _as_tset(x).incidence
-    index = {c: k for k, c in enumerate(table.cells)}
     alive = (1 << len(table.cells)) - 1
     count = table.counts()
     for g, f in certificate:
-        g = index.get(tuple(g))
-        f = index.get(tuple(f))
+        g = table.index.get(tuple(g))
+        f = table.index.get(tuple(f))
         if g is None or f is None or not alive >> g & 1 or not alive >> f & 1:
             return False
         if count[g] != 1 or (g, 1) not in table.faces[f] or table.cells[f][0] != table.cells[g][0] + 1:
@@ -494,7 +489,6 @@ def barycentric_subdivision(x) -> SemiSimplicialSet:
     complexes as well.
     """
     t = _as_tset(x)
-    t.validate()
 
     def canon(cell):
         """Normalize (facet, chain) so the top subset is the full slot set."""
@@ -625,7 +619,6 @@ def edge_path_presentation(x) -> GroupPresentation:
     inverse letter.  Requires a connected complex.
     """
     t = _as_tset(x)
-    t.validate()
     if t.dimension > 2:
         raise ValidationError("edge-path presentations are for complexes of dimension <= 2")
     nv = t.count(0)

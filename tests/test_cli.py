@@ -113,8 +113,10 @@ def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
 @pytest.mark.parametrize(
     "command, level, field, value",
     [("nc chi", 0, "chi_normalization", "x"), ("nc kulikov", 1, "normal_degrees", "ab"),
-     ("nc kulikov", 1, "normal_degrees", [1, 2, 3]), ("nc kulikov", 1, "triple_count", 2.5)],
-    ids=["string-chi", "string-degrees", "three-degrees", "float-triple-count"],
+     ("nc kulikov", 1, "normal_degrees", [1, 2, 3]), ("nc kulikov", 1, "triple_count", 2.5),
+     ("nc dual-complex", 1, "branch_trivial", "false"), ("nc dual-complex", 1, "branch_trivial", None)],
+    ids=["string-chi", "string-degrees", "three-degrees", "float-triple-count", "string-branch-trivial",
+         "null-branch-trivial"],
 )
 def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, field, value):
     data = builtin_surface("duncehat-surface").to_json_dict()

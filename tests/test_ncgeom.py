@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from dualcx.ncgeom import (
     two_planes_description,
     wrong_case_surface_description,
 )
-from dualcx.simplicial import functor_p, isomorphic, make_cyclic_triangle, make_duncehat, make_single_2_simplex
+from dualcx.simplicial import (
+    TriangulatedSet,
+    functor_p,
+    isomorphic,
+    make_cyclic_triangle,
+    make_duncehat,
+    make_single_2_simplex,
+)
 
 
 def test_right_case_description_shape():
@@ -222,3 +230,24 @@ def test_triple_count_consistency_enforced():
     )
     with pytest.raises(ValidationError):
         bad.validate()
+
+
+def test_one_triangulated_validation_per_surface(monkeypatch):
+    text = json.dumps(duncehat_surface_description().to_json_dict())
+    validated = []
+    real = TriangulatedSet.__dict__["_validated"].func
+
+    def counting(t):
+        validated.append(t)
+        return real(t)
+
+    prop = cached_property(counting)
+    prop.__set_name__(TriangulatedSet, "_validated")
+    monkeypatch.setattr(TriangulatedSet, "_validated", prop)
+    desc = ncsurf_from_json(text)
+    for _ in range(2):
+        t = dual_complex(desc)
+        assert [r["vanishes"] for r in kulikov_report(desc)] == [True]
+        assert generic_fiber_euler(desc) == 11
+        assert pi1_vanishing_verdict(desc, [True]).status == "vanishes"
+    assert validated == [t] and t is desc.triangulated

@@ -28,7 +28,6 @@ from dualcx.obstruction import (
     jpoint_as_pic_class,
     lambda_factors,
     lambda_factors_closed_form,
-    offset_scale,
     scale_derivatives,
     sb_values,
     seeded_family,
@@ -46,19 +45,6 @@ def test_vanishing_scale_zeros_and_invariance():
         v1 = vanishing_scale(tau_norm * n, n)
         v2 = tau_norm * (tau_norm - 1.0) / (tau_norm - 2.0) ** 3
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v2))
-
-
-def test_offset_scale_documents_the_pitfall():
-    # the non-vanishing variant takes the value 1/8 at the first mark for
-    # every n, and its double zero at infinity kills the second-row
-    # derivative, so it cannot provide simply vanishing section scales
-    for n in (0.5, 1.3 - 0.2j, -2.0 + 1.0j):
-        assert abs(offset_scale(0.0, n) - 0.125) < 1e-12
-    h = 1e-6
-    n = 0.7 + 0.3j
-    # derivative against the reference field at the infinite mark, chart 1/tau
-    val = (offset_scale(1.0 / h, n) - offset_scale(-1.0 / h, n)) / (2 * h)
-    assert abs(val) < 1e-3  # first derivative vanishes there
 
 
 def test_scale_derivatives_match_finite_differences():

@@ -3,6 +3,7 @@
 import gc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from dualcx.simplicial import (
     _as_tset,
     functor_p,
     functor_q,
+    is_simple,
+    is_strictly_simple,
     isomorphic,
     make_cycle_graph,
     make_cyclic_triangle,
@@ -370,10 +373,16 @@ def test_collapse_search_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def _iterated_faces(t, d, i):
+    """The face of facet (d, i) for every proper subset of its slots deleted, by ``delete_slots`` alone."""
+    subsets = (frozenset(s) for k in range(d + 1) for s in combinations(range(d + 1), k))
+    return {s: t.delete_slots(d, i, s)[:2] for s in subsets}
+
+
 def _coface_paths(t):
     """paths[h][g] = number of nonempty slot subsets of facet h whose face is g."""
     return {
-        (d, i): Counter(face for slots, face in t.iterated_faces(d, i).items() if slots)
+        (d, i): Counter(face for slots, face in _iterated_faces(t, d, i).items() if slots)
         for d in range(1, t.dimension + 1)
         for i in range(t.count(d))
     }
@@ -438,7 +447,10 @@ def test_collapse_search_matches_the_rescan_reference():
     for x in complexes:
         t = _as_tset(x)
         cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
-        assert free_faces(x) == _reference_free_pairs(_coface_paths(t), cells)
+        paths, table = _coface_paths(t), t.incidence
+        faces = {table.cells[h]: Counter({table.cells[g]: m for g, m in row}) for h, row in enumerate(table.faces)}
+        assert {h: row for h, row in faces.items() if h[0]} == paths
+        assert free_faces(x) == _reference_free_pairs(paths, cells)
         for budget in (1, 10, 100, 5_000):
             res = is_collapsible(x, budget=budget)
             assert res == _reference_collapse(x, budget), (x.counts(), budget)
@@ -535,3 +547,41 @@ def test_one_conversion_per_complex(monkeypatch):
     assert len(calls) == 1 and calls[0] is x
     assert results(x) == first and len(calls) == 1
     assert results(SemiSimplicialSet(x.num_vertices, x.faces)) == first and len(calls) == 2
+
+
+def test_one_incidence_table_per_complex(monkeypatch):
+    x = barycentric_subdivision(make_duncehat())
+    y = SemiSimplicialSet(x.num_vertices, x.faces)
+    built = []
+    real = simplicial._Incidence.of.__func__
+
+    def counting(cls, t):
+        built.append(t)
+        return real(cls, t)
+
+    monkeypatch.setattr(simplicial._Incidence, "of", classmethod(counting))
+    for _ in range(2):
+        # the face relation of the isomorphism search, the simplicity predicates and the flag functor
+        assert isomorphic(x.triangulated, y.triangulated)
+        assert (is_simple(x), is_strictly_simple(x)) == (is_simple(y), is_strictly_simple(y))
+        assert functor_q(x.triangulated).counts() == functor_q(y.triangulated).counts()
+        assert len(built) == 2
+        # is the one the collapse layer reads
+        cert = is_collapsible(y, budget=1_000).certificate or ()
+        assert free_faces(x) == free_faces(y) and replay_collapse(x, cert) == replay_collapse(y, cert)
+    assert len(built) == 2 and {id(t) for t in built} == {id(x.triangulated), id(y.triangulated)}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [homology, euler_characteristic, free_faces, is_collapsible, lambda t: replay_collapse(t, ()),
+     edge_path_presentation, barycentric_subdivision, lambda t: isomorphic(t, functor_p(make_cycle_graph(1))),
+     lambda t: isomorphic(functor_p(make_cycle_graph(1)), t), is_simple, is_strictly_simple, functor_q],
+    ids=["homology", "euler", "free-faces", "collapse", "replay-collapse", "edge-path", "subdivision",
+         "isomorphic-left", "isomorphic-right", "simple", "strictly-simple", "functor-q"],
+)
+def test_malformed_complex_is_refused_at_every_entry_point(entry):
+    # the edge's first slot attaches to a vertex that does not exist
+    bad = TriangulatedSet(1, ((((5, (None, 0)), (0, (0, None))),),))
+    with pytest.raises(ValidationError, match="missing target"):
+        entry(bad)
