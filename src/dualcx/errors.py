@@ -37,9 +37,10 @@ class BudgetError(DualcxError):
 
 def int_tuple(values) -> tuple[int, ...]:
     """The values as a tuple of integers; a non-integer raises ``TypeError``
-    (a float is never truncated), for use inside :func:`decode_field`."""
+    (a float is never truncated, and a JSON boolean is not an integer), for
+    use inside :func:`decode_field`."""
     out = tuple(values)
-    if not all(isinstance(v, int) for v in out):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in out):
         raise TypeError(f"non-integer value in {values!r}")
     return out
 

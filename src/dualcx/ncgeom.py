@@ -154,7 +154,7 @@ def _dec_stratum(d: dict) -> Stratum:
         return decode_field(d, key, decode) if key in d else None
 
     return Stratum(
-        branches=d["branches"],
+        branches=decode_field(d, "branches", _dec_int),
         branch_trivial=decode_field(d, "branch_trivial", _dec_bool) if "branch_trivial" in d else True,
         attach=tuple(map(_dec_attachment, d.get("attach", []))),
         chi_normalization=optional("chi_normalization", _dec_int),

@@ -300,15 +300,15 @@ class _Incidence:
         """The total incidence of every cell from the other cells, all alive."""
         return [sum(m for _, m in row) for row in self.cofaces]
 
-    def free_pairs(self, alive: int, count: list[int]) -> list[tuple[int, int]]:
-        """(face, unique coface) index pairs among ``alive``, by face.
+    def free_pairs(self, alive: int, count: list[int], among) -> list[tuple[int, int]]:
+        """(face, unique coface) index pairs among ``alive``, for the faces in ``among``.
 
         ``count[g]`` must be g's total incidence from the other alive cells;
         g is free when that is one, through a cell one dimension up.
         """
         cells, out = self.cells, []
-        for g, c in enumerate(count):
-            if c == 1 and alive >> g & 1:
+        for g in among:
+            if count[g] == 1 and alive >> g & 1:
                 f = next(h for h, _ in self.cofaces[g] if alive >> h & 1)
                 if cells[f][0] == cells[g][0] + 1:
                     out.append((g, f))
@@ -318,10 +318,11 @@ class _Incidence:
         """Whether ``alive`` is a single vertex."""
         return alive != 0 and alive & (alive - 1) == 0 and self.cells[alive.bit_length() - 1][0] == 0
 
-    def add(self, count: list[int], cell: int, sign: int) -> None:
-        """Add ``sign`` times ``cell``'s incidences on its faces to ``count``."""
-        for g, m in self.faces[cell]:
-            count[g] += sign * m
+    def add(self, count: list[int], pair: tuple[int, int], sign: int) -> None:
+        """Add ``sign`` times the incidences of the pair's two cells on their faces to ``count``."""
+        for cell in pair:
+            for g, m in self.faces[cell]:
+                count[g] += sign * m
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +558,9 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     levels: list = []
     trails: list[list[tuple[int, int]]] = []
     while len(trails) < len(order):
+        facet, anchor = order[len(trails)]
+        d, i = facet
         if len(levels) == len(trails):
-            (d, _), anchor = order[len(trails)]
             if anchor is None:
                 pool = range(len(cells2))
             else:
@@ -566,9 +568,15 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
             images = [
                 cells2[h][1] for h in pool if cells2[h][0] == d and not table2.cofaces[h] and cells2[h] not in used
             ]
-            levels.append(product(images, permutations(range(d + 1))))
-        for img, perm in levels[-1]:
-            trail = _map_closure(t1, t2, facet_map, used, order[len(trails)][0], img, perm)
+            # the facet's one-slot faces mapped so far, the same whenever this level is resumed
+            mapped = [(k, inj, facet_map[(d - 1, g)]) for k, (g, inj) in enumerate(t1.attach[d - 1][i] if d else ())
+                      if (d - 1, g) in facet_map]
+            levels.append((product(images, permutations(range(d + 1))), mapped))
+        candidates, mapped = levels[-1]
+        for img, perm in candidates:
+            if mapped and _clashes(t2, d, img, perm, mapped):
+                continue
+            trail = _map_closure(t1, t2, facet_map, used, facet, img, perm)
             if trail is not None:
                 trails.append(trail)
                 break
@@ -632,6 +640,17 @@ def _map_closure(t1, t2, facet_map: dict, used: set, facet, img: int, perm: tupl
                     g_perm[inj[j]] = inj2[perm[j]]
             todo.append(((d - 1, g), g2, tuple(g_perm)))
     return trail
+
+
+def _clashes(t2, d: int, img: int, perm: tuple, mapped: list) -> bool:
+    """Whether mapping a d-facet to (img, perm) forces another image or slot bijection on one of
+    its ``mapped`` (slot, injection, image) one-slot faces, so that :func:`_map_closure` would fail."""
+    atts = t2.attach[d - 1][img]
+    for k, inj, (g, g_perm) in mapped:
+        g2, inj2 = atts[perm[k]]
+        if g2 != g or any(g_perm[inj[j]] != inj2[perm[j]] for j in range(d + 1) if j != k):
+            return True
+    return False
 
 
 def _unmap(facet_map: dict, used: set, trail) -> None:

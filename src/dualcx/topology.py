@@ -21,9 +21,10 @@ the leftover block goes to the Smith normal form.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .errors import BudgetError, ValidationError
 from .simplicial import SemiSimplicialSet, _as_tset, _Incidence
@@ -381,8 +382,8 @@ def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     triangle, so it is not free.
     """
     table = _as_tset(x).incidence
-    full = (1 << len(table.cells)) - 1
-    return [(table.cells[g], table.cells[f]) for g, f in table.free_pairs(full, table.counts())]
+    cells = table.cells
+    return [(cells[g], cells[f]) for g, f in table.free_pairs((1 << len(cells)) - 1, table.counts(), range(len(cells)))]
 
 
 @dataclass(frozen=True)
@@ -415,7 +416,8 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
         raise BudgetError("collapse search needs a positive budget")
     table = _as_tset(x).incidence
     seen: set[int] = set()
-    cert = _collapse_search(table, (1 << len(table.cells)) - 1, table.counts(), seen, budget)
+    full, count = (1 << len(table.cells)) - 1, table.counts()
+    cert = _collapse_search(table, full, count, table.free_pairs(full, count, range(len(count))), seen, budget)
     explored = len(seen)
     if cert is not None:
         cells = table.cells
@@ -425,12 +427,14 @@ def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     return CollapseResult("non_collapsible", None, explored, exhausted=True)
 
 
-def _collapse_search(table: _Incidence, alive: int, count: list[int], seen: set, budget: int):
+def _collapse_search(table: _Incidence, alive: int, count: list[int], free: list, seen: set, budget: int):
     """The least collapse sequence of index pairs from ``alive`` to a vertex, or None.
 
     ``count`` holds the incidences from the alive cells and is the same on
-    return.  ``seen`` holds every state entered so far, so its size is the
-    explored count; past ``budget`` states the search unwinds with None.
+    return; ``free`` holds the state's free pairs by face, and each child's
+    is derived from it by re-examining only the faces of the removed coface.
+    ``seen`` holds every state entered so far, so its size is the explored
+    count; past ``budget`` states the search unwinds with None.
     A state already in ``seen`` is skipped before its counts are updated,
     so ``alive`` is never in ``seen`` on entry; a vertex is never added.
     """
@@ -439,15 +443,16 @@ def _collapse_search(table: _Incidence, alive: int, count: list[int], seen: set,
     seen.add(alive)
     if len(seen) > budget:
         return None
-    for g, f in table.free_pairs(alive, count):
+    for g, f in free:
         rest = alive & ~(1 << g | 1 << f)
         if rest in seen:
             continue
-        table.add(count, g, -1)
-        table.add(count, f, -1)
-        sub = _collapse_search(table, rest, count, seen, budget)
-        table.add(count, g, 1)
-        table.add(count, f, 1)
+        table.add(count, (g, f), -1)
+        # a pair touching g or f has coface f (g's only coface, and maximal),
+        # and only the faces of f changed count
+        after = [p for p in free if p[1] != f] + table.free_pairs(rest, count, [h for h, _ in table.faces[f]])
+        sub = _collapse_search(table, rest, count, sorted(after), seen, budget)
+        table.add(count, (g, f), 1)
         if sub is not None:
             return [(g, f)] + sub
         if len(seen) > budget:
@@ -467,8 +472,7 @@ def replay_collapse(x, certificate) -> bool:
             return False
         if count[g] != 1 or (g, 1) not in table.faces[f] or table.cells[f][0] != table.cells[g][0] + 1:
             return False
-        table.add(count, g, -1)
-        table.add(count, f, -1)
+        table.add(count, (g, f), -1)
         alive &= ~(1 << g | 1 << f)
     return table.is_vertex(alive)
 
@@ -746,18 +750,55 @@ def _eliminations(p: GroupPresentation):
                 yield rel, abs(rel[k]), _inverse(rest) if rel[k] > 0 else rest
 
 
-def _greedy_elimination(p: GroupPresentation):
-    """The elimination from a shortest relator with the least length growth,
-    or None.  The growth is estimated before free reduction: each other
-    occurrence of the generator grows by ``len(rel) - 2``.  Only the first
-    relator length that has an elimination is enumerated; ties keep the
-    first elimination."""
-    first = next(groupby(_eliminations(p), key=lambda e: len(e[0])), None)
-    if first is None:
-        return None
-    length, group = first
-    counts = Counter(abs(x) for rel in p.relators for x in rel)
-    return min(group, key=lambda e: (counts[e[1]] - 1) * (length - 2))
+def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
+    """Eliminate, while it can, a generator occurring once in a shortest relator.
+
+    The one taken has the least length growth before free reduction (each
+    other occurrence grows by ``len(rel) - 2``), the first on ties.
+    Relators of ``p`` (cyclically reduced, none empty) keep its ids, and
+    only those containing the eliminated generator are rewritten; each
+    move is logged in its step's numbering.
+    """
+    rels = [(w, _once(w)) for w in p.relators]
+    occ = Counter(abs(x) for w in p.relators for x in w)
+    gone: list[int] = []
+    moves = []
+
+    def now(x: int) -> int:  # the letter's id with the eliminated ids below it taken out
+        return x - bisect_left(gone, x) if x > 0 else -now(-x)
+
+    while True:
+        best = None
+        for w, once in rels:
+            for g in once:
+                key = (len(w), (occ[g] - 1) * (len(w) - 2))
+                if best is None or key < best[0]:
+                    best = key, w, g
+        if best is None:
+            break
+        _, w, g = best
+        k = next(k for k, x in enumerate(w) if abs(x) == g)
+        rest = w[k + 1 :] + w[:k]
+        value = _inverse(rest) if w[k] > 0 else rest
+        moves.append(("eliminate", now(g), tuple(map(now, value))))
+        insort(gone, g)
+        kept = []
+        for w, once in rels:
+            if g in map(abs, w):
+                occ.subtract(map(abs, w))
+                w = cyclic_reduce(_substitute(w, g, value))
+                if not w:
+                    continue  # dropped, the order of the others kept
+                occ.update(map(abs, w))
+                once = _once(w)
+            kept.append((w, once))
+        rels = kept
+    return GroupPresentation(p.num_generators - len(gone), tuple(tuple(map(now, w)) for w, _ in rels)), moves
+
+
+def _once(word: tuple[int, ...]) -> list[int]:
+    """The generators occurring exactly once in the word, in order."""
+    return sorted(g for g, n in Counter(map(abs, word)).items() if n == 1)
 
 
 def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeResult:
@@ -781,12 +822,7 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
     if not ab.is_trivial():
         return TietzeResult("inconclusive", None, f"abelianization is {ab}, group is nontrivial")
 
-    start = _start_presentation(p)
-    greedy = []
-    while (best := _greedy_elimination(start)) is not None:
-        _, gen, value = best
-        start = _drop_generator(start, gen, value)
-        greedy.append(("eliminate", gen, value))
+    start, greedy = _greedy_pass(_start_presentation(p))
     seen = set()
     explored = len(greedy)
     # priority queue on (total length, generators)

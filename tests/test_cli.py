@@ -72,6 +72,7 @@ def test_guard_rejection_exit_3(capsys, tmp_path):
 
 CIRCLE = {"kind": "ssset", "schema": 1, "dims": [1, 1], "faces": [[[0, 0]]]}
 NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
+MISSING = object()  # a decoration value meaning "delete the key"
 
 
 @pytest.mark.parametrize(
@@ -91,10 +92,14 @@ NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
         ("nc kulikov", "strata", lambda d: d.pop("strata")),
         ("topo homology", "dims", lambda d: d["dims"].__setitem__(0, 10**9)),
         ("topo collapse", "dims", lambda d: d.update(dims=[1, 2])),
+        # a JSON boolean is not an integer, although Python's bool is an int
+        ("topo euler", "dims", lambda d: d["dims"].__setitem__(0, True)),
+        ("topo euler", "faces", lambda d: d["faces"][0][0].__setitem__(1, False)),
+        ("obs data", "intersection_index", lambda d: d.update(intersection_index=True)),
     ],
     ids=["no-P", "string-index", "float-index", "short-b", "nan-in-P", "nan-in-P-validate", "inf-in-b",
          "inf-in-b-validate", "inf-in-Q-node", "string-face-id", "no-faces", "no-strata", "huge-dims",
-         "dims-off-levels"],
+         "dims-off-levels", "bool-dims", "bool-face-id", "bool-index"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     if command in ("obs data", "cubic validate"):
@@ -114,13 +119,18 @@ def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     "command, level, field, value",
     [("nc chi", 0, "chi_normalization", "x"), ("nc kulikov", 1, "normal_degrees", "ab"),
      ("nc kulikov", 1, "normal_degrees", [1, 2, 3]), ("nc kulikov", 1, "triple_count", 2.5),
-     ("nc dual-complex", 1, "branch_trivial", "false"), ("nc dual-complex", 1, "branch_trivial", None)],
+     ("nc dual-complex", 1, "branch_trivial", "false"), ("nc dual-complex", 1, "branch_trivial", None),
+     ("nc chi", 0, "chi_normalization", True), ("nc kulikov", 0, "branches", True),
+     ("nc kulikov", 1, "branches", "two"), ("nc kulikov", 1, "branches", MISSING)],
     ids=["string-chi", "string-degrees", "three-degrees", "float-triple-count", "string-branch-trivial",
-         "null-branch-trivial"],
+         "null-branch-trivial", "bool-chi", "bool-branches", "string-branches", "no-branches"],
 )
 def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, field, value):
     data = builtin_surface("duncehat-surface").to_json_dict()
-    data["strata"][level][0][field] = value
+    if value is MISSING:
+        del data["strata"][level][0][field]
+    else:
+        data["strata"][level][0][field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, _, err = run(capsys, *command.split(), str(bad))

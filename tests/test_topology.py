@@ -3,7 +3,7 @@
 import gc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -28,7 +28,12 @@ from dualcx.simplicial import (
 )
 from dualcx.topology import (
     CollapseResult,
+    GroupPresentation,
     IntegerChainComplex,
+    _drop_generator,
+    _eliminations,
+    _greedy_pass,
+    _start_presentation,
     barycentric_subdivision,
     chain_complex,
     edge_path_presentation,
@@ -585,3 +590,89 @@ def test_malformed_complex_is_refused_at_every_entry_point(entry):
     bad = TriangulatedSet(1, ((((5, (None, 0)), (0, (0, None))),),))
     with pytest.raises(ValidationError, match="missing target"):
         entry(bad)
+
+
+def _reference_greedy_elimination(p: GroupPresentation):
+    """The elimination from a shortest relator with the least length growth,
+    or None.  The growth is estimated before free reduction: each other
+    occurrence of the generator grows by ``len(rel) - 2``.  Only the first
+    relator length that has an elimination is enumerated; ties keep the
+    first elimination."""
+    first = next(groupby(_eliminations(p), key=lambda e: len(e[0])), None)
+    if first is None:
+        return None
+    length, group = first
+    counts = Counter(abs(x) for rel in p.relators for x in rel)
+    return min(group, key=lambda e: (counts[e[1]] - 1) * (length - 2))
+
+
+def _reference_greedy_pass(p: GroupPresentation):
+    """The greedy pass that rewrites, renumbers and re-validates the whole presentation per move."""
+    moves = []
+    while (best := _reference_greedy_elimination(p)) is not None:
+        _, gen, value = best
+        p = _drop_generator(p, gen, value)
+        moves.append(("eliminate", gen, value))
+    return p, moves
+
+
+def _random_presentation(rng):
+    n = int(rng.integers(1, 7))
+    relators = []
+    for _ in range(int(rng.integers(1, 7))):
+        size = int(rng.integers(0, 11))
+        relators.append(tuple(map(int, rng.integers(1, n + 1, size=size) * rng.choice((-1, 1), size=size))))
+    return presentation(n, relators)
+
+
+def test_greedy_pass_matches_the_rewriting_reference():
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    bases = [build() for build in BUILTIN_COMPLEXES.values()]
+    bases += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex)]
+    cases = [edge_path_presentation(_subdivided(x, level)) for x in bases for level in (0, 1, 2)]
+    rng = np.random.default_rng(14)
+    cases += [_random_presentation(rng) for _ in range(3000)]
+    moved = 0
+    for p in cases:
+        start = _start_presentation(p)
+        got = _greedy_pass(start)
+        assert got == _reference_greedy_pass(start), p
+        moved += bool(got[1])
+    assert moved > 2000  # most random presentations let the pass eliminate something
+
+
+def _pinched_triangle():
+    """A triangle with two vertices identified, plus an isolated vertex."""
+    return SemiSimplicialSet(3, (((1, 1), (1, 0), (1, 0)), ((0, 1, 2),)))
+
+
+def _digon_and_loop():
+    return SemiSimplicialSet(3, (((1, 0), (1, 0), (2, 2)),))
+
+
+def test_isomorphism_verdicts_on_the_pool_and_its_partners():
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    bases = [build() for build in BUILTIN_COMPLEXES.values()]
+    bases += [_tetrahedron_with_doubled_face(), _pinched_triangle(), _digon_and_loop(),
+              _wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex),
+              _wedge(make_duncehat(), sd_simplex, b_vertex=6)]
+    items = [_as_tset(_subdivided(x, level)) for x in bases for level in (0, 1)]
+    rng = np.random.default_rng(5)
+    copies = [[t] + [_relabel(t, rng) for _ in range(5)] for t in items]
+    verdicts = [[isomorphic(a, b) for b in copies[j]] for a in items for j in range(len(items))]
+    # every item is isomorphic to its own relabelings and to no other item
+    assert verdicts == [[a is b] * 6 for a in items for b in items]
+
+
+def test_isomorphism_precheck_skips_clashing_candidates(monkeypatch):
+    cyclic, dunce = (_as_tset(barycentric_subdivision(x)) for x in (make_cyclic_triangle(), make_duncehat()))
+    walks = []
+    real = simplicial._map_closure
+
+    def counting(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplicial, "_map_closure", counting)
+    assert not isomorphic(cyclic, dunce)
+    assert len(walks) <= 150  # 684 walks without the precheck
