@@ -374,7 +374,13 @@ _GLOBAL_DEFAULTS = {
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        # argparse leaves a FILE that follows an option after the subcommand
+        # (`topo euler --json FILE`) unparsed: one such token is the FILE
+        if len(extra) == 1 and not extra[0].startswith("-") and getattr(args, "file", "") is None:
+            args.file, extra = extra[0], []
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     for key, val in _GLOBAL_DEFAULTS.items():

@@ -604,6 +604,12 @@ class Construct:
     def n_point(self) -> np.ndarray:
         return self.p.gamma.affine(self.t_p3)
 
+    @cached_property
+    def direct_pipelines(self) -> dict:
+        """This construct's direct-pipeline results by ``Tolerances``
+        (filled by ``obstruction.direct_pipeline_data``)."""
+        return {}
+
     def marks_p(self) -> tuple[complex, complex, complex]:
         return (self.t_p1, self.t_p2, self.t_p3)
 
@@ -922,8 +928,3 @@ def affine_family(
     if direction.side == "Q":
         return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.n_point, tol)
     return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.n_point, tol)
-
-
-def transport_construct(c: Construct, a: AffineMapPlane) -> Construct:
-    """Apply one affine map to the whole construct (both cubics and b)."""
-    return _rebuild_after_move(c, transport_cubic(c.p, a), transport_cubic(c.q, a), a(c.n_point), DEFAULT_TOL)

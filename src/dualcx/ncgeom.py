@@ -475,15 +475,6 @@ def duncehat_curve_graph() -> CurveIncidenceGraph:
     return CurveIncidenceGraph(1, (3,), ((0, 0), (0, 0), (0, 0)))
 
 
-def cycle_curve_graph(n: int = 3) -> CurveIncidenceGraph:
-    """A cycle of n rational curves glued at n nodes."""
-    edges = []
-    for k in range(n):
-        edges.append((k, k))
-        edges.append(((k + 1) % n, k))
-    return CurveIncidenceGraph(n, tuple([2] * n), tuple(edges))
-
-
 @dataclass(frozen=True)
 class PicTorus:
     """Degree-zero line bundles on the curve, as a quotient torus.

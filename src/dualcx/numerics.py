@@ -9,12 +9,14 @@ Conventions fixed here and relied on everywhere else:
   finite proxy.
 * ``Poly`` stores coefficients in ascending order, ``p(t) = sum c_k t^k``.
 * Root finding is simultaneous Aberth-Ehrlich iteration started from the
-  companion-matrix eigenvalues.  A root set is accepted only when every
-  backward error ``|p(z)| <= tol * sum |c_k| |z|^k`` is met; after one
-  Aberth step it is returned at once when disjoint Weierstrass inclusion
-  disks prove every root simple, and polished further otherwise.
-  Multiplicities are connected disk unions: k touching disks are one
-  k-fold root.  Non-convergence raises, it is never silent.
+  companion-matrix eigenvalues; one Horner pass per sweep evaluates p, p'
+  and the scale of the backward errors.  A root set is accepted only when
+  every backward error ``|p(z)| <= tol * sum |c_k| |z|^k`` is met; after
+  one Aberth step it is returned at once when disjoint Weierstrass
+  inclusion disks prove every root simple (``poly_roots`` reuses that
+  certificate), and polished further otherwise.  Multiplicities are
+  connected disk unions: k touching disks are one k-fold root.
+  Non-convergence raises, it is never silent.
 * All default tolerances live in :class:`Tolerances` and may be overridden
   per call.
 """
@@ -185,8 +187,11 @@ def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
     return out
 
 
-def _peel_zeros(q: Poly) -> tuple[int, Poly]:
-    """(count of exact zero roots, the rest of ``q``) for a trimmed ``q``."""
+def _peel_zeros(p: Poly) -> tuple[int, Poly]:
+    """(count of exact zero roots, the rest) of ``p`` trimmed, of degree >= 1."""
+    q = p.trim()
+    if q.degree < 1:
+        raise ValidationError("root finding needs degree >= 1")
     k = 0
     while k < q.degree and q.coef[k] == 0:
         k += 1
@@ -228,18 +233,17 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
     """
     tol = DEFAULT_TOL.root_residual if tol is None else tol
-    q = p.trim()
-    if q.degree < 1:
-        raise ValidationError("root finding needs degree >= 1")
-
     # exact zero roots peel off first; improves conditioning of the rest
-    zero_mult, q = _peel_zeros(q)
-    roots: list[complex] = [0.0 + 0.0j] * zero_mult
-    n = q.degree
-    if n == 0:
-        return roots
+    zero_mult, q = _peel_zeros(p)
+    roots = [0j] * zero_mult
+    return roots + _aberth(q, tol, max_iter)[0] if q.degree else roots
 
+
+def _aberth(q: Poly, tol: float, max_iter: int) -> tuple[list[complex], bool]:
+    """The sweeps of :func:`aberth_roots` on the rest ``q`` of :func:`_peel_zeros`:
+    (approximants, proven simple), simple only when disjoint disks returned them."""
     coef = q.coef
+    n = q.degree
     an = coef[-1]
     companion = np.diag(np.ones(n - 1, dtype=complex), -1)
     companion[0] = -coef[-2::-1] / an
@@ -251,26 +255,30 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     radius = 1.0 + float(np.max(np.abs(coef[:-1] / an)))
     ks = np.arange(n)
 
-    dq = q.derivative()
-    coef_abs = np.abs(coef)
-    scale_floor = np.max(coef_abs) * 1e-30
+    # rows q, q' (its top coefficient 0) and |q|: one Horner pass over
+    # (z, z, |z|) gives q(z), q'(z) and the backward-error scale
+    # sum |c_k| |z|^k, term by term as polyval computes each of them
+    table = np.stack([coef, np.append(coef[1:] * np.arange(1, n + 1), 0), np.abs(coef)])[:, :, None]
+    scale_floor = np.max(np.abs(coef)) * 1e-30
     polish = 0
     for sweep in range(max_iter):
-        pz = q.eval_many(z)
-        # the backward-error scale sum |c_k| |z|^k, by one Horner pass
-        scale = np.maximum(np.polynomial.polynomial.polyval(np.abs(z), coef_abs), scale_floor)
+        x = np.stack([z, z, np.abs(z)])
+        acc = table[:, n] + x * 0
+        for k in range(n - 1, -1, -1):
+            acc = table[:, k] + acc * x
+        pz, dpz = acc[0], acc[1]
+        scale = np.maximum(acc[2].real, scale_floor)
         converged = np.max(np.abs(pz) / scale) <= tol
         if converged:
             # eigenvalues carry the eigensolver's rounding (ulps off even for
             # t^2 - 1): they are returned only after one Aberth step
             if sweep and np.all(_disk_gaps(q, z, pz, scale) > 0):
-                return roots + [complex(v) for v in z]
+                return [complex(v) for v in z], True
             # keep iterating a while: clusters around multiple roots tighten
             # linearly after the backward-error target is already met
             polish += 1
             if polish > 48:
-                return roots + [complex(v) for v in z]
-        dpz = dq.eval_many(z)
+                return [complex(v) for v in z], False
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
         # Newton correction with Aberth repulsion
@@ -286,7 +294,7 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
             step = np.where(bad, 0.1 * radius * np.exp(1j * ks), step)
         nz = z - step
         if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
-            return roots + [complex(v) for v in nz]
+            return [complex(v) for v in nz], False
         z = nz
     raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {n})")
 
@@ -295,16 +303,23 @@ def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
     """Root multiset of ``p``: list of (root, multiplicity).
 
     Exact zero roots come back as one root of their count.  The rest come
-    from :func:`aberth_roots`, one per connected disk union: k Weierstrass
-    disks that touch, directly or through others, are one k-fold root at
-    the mean of their centres, and a disk that touches no other is a simple
-    root at its approximant.
+    from the sweeps of :func:`aberth_roots`, one per connected disk union:
+    k Weierstrass disks that touch, directly or through others, are one
+    k-fold root at the mean of their centres, and a disk that touches no
+    other is a simple root at its approximant.  Roots the sweeps already
+    proved simple by disjoint disks skip the second disk test: its scale
+    has no floor, so its gaps are no smaller.
     """
-    zero_mult, q = _peel_zeros(p.trim())
+    tol = DEFAULT_TOL.root_residual if tol is None else tol
+    zero_mult, q = _peel_zeros(p)
     out = [(0j, zero_mult)] if zero_mult else []
-    if zero_mult and q.degree == 0:
+    if q.degree == 0:
         return out
-    z = np.asarray(aberth_roots(q, tol=tol))
+    roots, simple = _aberth(q, tol, 400)
+    if simple:
+        # + 0j is what a one-root group's mean does: -0.0 parts become 0.0
+        return out + [(z + 0j, 1) for z in roots]
+    z = np.asarray(roots)
     scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(q.coef))
     reach = ~(_disk_gaps(q, z, q.eval_many(z), scale) > 0)
     np.fill_diagonal(reach, True)
@@ -472,30 +487,6 @@ class Divisor:
             else:
                 off.append((z, m))
         return mults, Divisor(off)
-
-
-def rational_divisor(num: Poly, den: Poly, tol: float | None = None, cluster_radius: float | None = None) -> Divisor:
-    """Divisor of the rational function num/den, infinity by degree deficit.
-
-    Zeros of numerator and denominator are found separately and cancelled
-    cluster-wise, so common factors (up to the root-finder accuracy) drop
-    out.  The result always has total degree zero.
-    """
-    cluster_radius = DEFAULT_TOL.cluster_radius if cluster_radius is None else cluster_radius
-    num = num.trim()
-    den = den.trim()
-    if num.is_zero() or den.is_zero():
-        raise ValidationError("rational_divisor needs nonzero numerator and denominator")
-    pts: list[tuple[complex, int]] = []
-    if num.degree >= 1:
-        pts += poly_roots(num, tol=tol)
-    if den.degree >= 1:
-        pts += [(z, -m) for z, m in poly_roots(den, tol=tol)]
-    pts.append((INF, den.degree - num.degree))
-    div = Divisor(pts).merged(cluster_radius)
-    if div.degree() != 0:
-        raise ValidationError("rational function divisor must have degree zero")
-    return div
 
 
 # ---------------------------------------------------------------------------

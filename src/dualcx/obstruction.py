@@ -443,8 +443,16 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     residual divisor must be exactly one at each mark (checked twice: on
     the clustered divisor and again by local scaling of the evaluated
     scale function), and the final derivative values must be finite and
-    nonzero.
+    nonzero.  A construct runs the pipeline once per ``tol``; a rejection
+    is not kept, so a repeated call raises again.
     """
+    memo = c.direct_pipelines
+    if tol not in memo:
+        memo[tol] = _direct_pipeline(c, tol)
+    return memo[tol]
+
+
+def _direct_pipeline(c: Construct, tol: Tolerances) -> tuple[JPoint, DirectReport, GluingTriple]:
     total, pieces = _section_divisor(c, tol)
     if total.degree() != 3:
         raise GuardError("divisor-imbalance", f"section divisor has degree {total.degree()}, expected 3")

@@ -138,6 +138,28 @@ def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, 
     assert err.startswith("error: ") and repr(field) in err
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [("topo euler", ["--json"]), ("topo collapse", ["--budget", "5", "--json"]), ("nc chi", ["--json"]),
+     ("nc pi1", ["--budget", "50", "--json"]), ("cubic validate", ["--json"]),
+     ("obs data", ["--json", "--budget", "5"])],
+)
+def test_options_before_file_read_as_after_it(capsys, tmp_path, command, options):
+    path = tmp_path / "input.json"
+    if command.startswith("topo"):
+        path.write_text(json.dumps(CIRCLE))
+    elif command.startswith("nc"):
+        path.write_text(json.dumps(builtin_surface("duncehat-surface").to_json_dict()))
+    else:
+        run(capsys, "cubic", "random", "--seed", "6", "--out", str(path))
+    file_first = run(capsys, *command.split(), str(path), *options)
+    assert file_first[1]
+    assert run(capsys, *command.split(), *options, str(path)) == file_first
+    for argv in ([*options, str(path), str(path)], [str(path), *options, str(path)]):
+        code, out, err = run(capsys, *command.split(), *argv)
+        assert code == 2 and not out and f"unrecognized arguments: {path}" in err
+
+
 def test_construct_round_trip_and_obs_data(capsys, tmp_path):
     path = tmp_path / "c.json"
     code, out, _ = run(capsys, "cubic", "random", "--seed", "6", "--out", str(path), "--json")

@@ -23,7 +23,6 @@ from dualcx.cubics import (
     normalize_residue,
     random_construct,
     residue_at_node_preimage,
-    transport_construct,
     transport_cubic,
 )
 from dualcx.obstruction import seeded_family
@@ -339,7 +338,7 @@ def test_marks_stable_across_family_range():
         assert chordal(member.n_q, c.n_q) < 1e-8
 
 
-def test_whole_plane_transport_invariance():
+def test_whole_plane_transport_invariance(transport_construct):
     c = random_construct(11)
     a = AffineMapPlane(((1.2, 0.1 - 0.3j), (0.2j, 0.8 + 0.1j)), (0.3, -0.7))
     moved = transport_construct(c, a)

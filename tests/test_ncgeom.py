@@ -13,7 +13,6 @@ from dualcx.ncgeom import (
     Stratum,
     NCSurfaceDescription,
     builtin_surface,
-    cycle_curve_graph,
     dual_complex,
     duncehat_curve_graph,
     duncehat_surface_description,
@@ -41,6 +40,15 @@ from dualcx.simplicial import (
     make_duncehat,
     make_single_2_simplex,
 )
+
+
+def cycle_curve_graph(n: int = 3) -> CurveIncidenceGraph:
+    """A cycle of n rational curves glued at n nodes."""
+    edges = []
+    for k in range(n):
+        edges.append((k, k))
+        edges.append(((k + 1) % n, k))
+    return CurveIncidenceGraph(n, tuple([2] * n), tuple(edges))
 
 
 def test_right_case_description_shape():

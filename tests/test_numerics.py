@@ -6,10 +6,13 @@ import pytest
 from dualcx.cubics import random_construct
 from dualcx.errors import RootFindingError, ValidationError
 from dualcx.numerics import (
+    DEFAULT_TOL,
     INF,
     Divisor,
     Mobius,
     Poly,
+    _disk_gaps,
+    _peel_zeros,
     aberth_roots,
     chordal,
     finite_diff_jacobian,
@@ -18,7 +21,6 @@ from dualcx.numerics import (
     numerical_rank,
     poly_from_roots,
     poly_roots,
-    rational_divisor,
 )
 
 
@@ -89,10 +91,12 @@ def test_triple_roots_stay_clustered():
         assert min((abs(z - want), m) for z, m in roots)[1] == mult
 
 
-@pytest.mark.parametrize("seed, scale", [(2024, 1.5), (2, 1.0), (3, 1.0), (9, 1.0)])
-def test_seeded_multiplicities_come_back_exactly(seed, scale):
-    # distinct roots at least 0.5 apart, multiplicities 1-3, total degree <= 9;
-    # at scale 1.0 seeds 2, 3 and 9 hold ill-conditioned double roots near triple ones
+MULTIPLICITY_SAMPLES = [(2024, 1.5), (2, 1.0), (3, 1.0), (9, 1.0)]
+
+
+def _multiplicity_samples(seed, scale):
+    """(polynomial, distinct roots, multiplicities): distinct roots at least
+    0.5 apart, multiplicities 1-3, total degree <= 9."""
     rng = np.random.default_rng(seed)
     for _ in range(300):
         mults = []
@@ -108,11 +112,123 @@ def test_seeded_multiplicities_come_back_exactly(seed, scale):
             if all(abs(x - y) >= 0.5 for i, x in enumerate(want) for y in want[i + 1:]):
                 break
         lead = complex(rng.standard_normal(), rng.standard_normal())
-        got = poly_roots(poly_from_roots([r for r, m in zip(want, mults) for _ in range(m)], leading=lead))
+        yield poly_from_roots([r for r, m in zip(want, mults) for _ in range(m)], leading=lead), want, mults
+
+
+@pytest.mark.parametrize("seed, scale", MULTIPLICITY_SAMPLES)
+def test_seeded_multiplicities_come_back_exactly(seed, scale):
+    # at scale 1.0 seeds 2, 3 and 9 hold ill-conditioned double roots near triple ones
+    for p, want, mults in _multiplicity_samples(seed, scale):
+        got = _matches_reference(p)
         assert len(got) == len(mults)
         for r, m in zip(want, mults):
             dist, mult = min((abs(z - r), k) for z, k in got)
             assert dist < 1e-3 and mult == m
+
+
+def _reference_aberth_roots(p):
+    """The Aberth loop with three polyval calls per sweep: the kernel's oracle."""
+    tol = DEFAULT_TOL.root_residual
+    zero_mult, q = _peel_zeros(p)
+    roots = [0j] * zero_mult
+    n = q.degree
+    if n == 0:
+        return roots
+    coef = q.coef
+    an = coef[-1]
+    companion = np.diag(np.ones(n - 1, dtype=complex), -1)
+    companion[0] = -coef[-2::-1] / an
+    z = np.linalg.eigvals(companion)
+    radius = 1.0 + float(np.max(np.abs(coef[:-1] / an)))
+    ks = np.arange(n)
+    dq = q.derivative()
+    coef_abs = np.abs(coef)
+    scale_floor = np.max(coef_abs) * 1e-30
+    polish = 0
+    for sweep in range(400):
+        pz = q.eval_many(z)
+        scale = np.maximum(np.polynomial.polynomial.polyval(np.abs(z), coef_abs), scale_floor)
+        converged = np.max(np.abs(pz) / scale) <= tol
+        if converged:
+            if sweep and np.all(_disk_gaps(q, z, pz, scale) > 0):
+                return roots + [complex(v) for v in z]
+            polish += 1
+            if polish > 48:
+                return roots + [complex(v) for v in z]
+        dpz = dq.eval_many(z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0.1j)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            s = inv.sum(axis=1)
+            denom = 1.0 - newton * s
+            step = np.where(np.abs(denom) > 1e-300, newton / np.where(denom == 0, 1, denom), newton)
+        bad = ~np.isfinite(step)
+        if np.any(bad):
+            step = np.where(bad, 0.1 * radius * np.exp(1j * ks), step)
+        nz = z - step
+        if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
+            return roots + [complex(v) for v in nz]
+        z = nz
+    raise RootFindingError("reference did not converge")
+
+
+def _reference_poly_roots(p, roots):
+    """Multiplicities from the closure of touching disks around the
+    reference's ``roots`` of ``p``, whichever way the sweeps ended."""
+    zero_mult, q = _peel_zeros(p)
+    out = [(0j, zero_mult)] if zero_mult else []
+    z = np.asarray(roots[zero_mult:])
+    if not z.size:
+        return out
+    scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(q.coef))
+    reach = ~(_disk_gaps(q, z, q.eval_many(z), scale) > 0)
+    np.fill_diagonal(reach, True)
+    for _ in range(len(z).bit_length()):
+        reach = reach @ reach
+    for i in np.flatnonzero(reach.argmax(axis=1) == np.arange(len(z))):
+        out.append((complex(z[reach[i]].mean()), int(reach[i].sum())))
+    return out
+
+
+def _matches_reference(p):
+    """``poly_roots(p)``, after asserting it and ``aberth_roots(p)`` bitwise
+    equal to the references."""
+    want = _reference_aberth_roots(p)
+    assert np.array(aberth_roots(p)).tobytes() == np.array(want).tobytes()
+    got, ref = poly_roots(p), _reference_poly_roots(p, want)
+    assert [m for _, m in got] == [m for _, m in ref]
+    assert np.array([z for z, _ in got]).tobytes() == np.array([z for z, _ in ref]).tobytes()
+    return got
+
+
+def test_root_finders_match_the_three_polyval_reference_bitwise():
+    # complex and real coefficients (real roots carry signed zeros), exact
+    # zero roots, multiple roots, and the degree-9 intersection polynomials
+    rng = np.random.default_rng(41)
+    multiple = 0
+    for k in range(3000):
+        n = int(rng.integers(1, 13))
+        if k % 30 == 0:
+            roots = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            roots[: n // 2] = roots[0]
+            roots[n - n // 3:] = 0
+            p = poly_from_roots(roots, leading=complex(*rng.standard_normal(2)))
+        else:
+            coef = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-2, 3, n + 1)
+            if k % 3:
+                coef = coef + 1j * rng.standard_normal(n + 1)
+            if k % 7 == 0:
+                coef[: int(rng.integers(1, n + 1))] = 0
+            p = Poly(coef)
+        multiple += any(m > 1 for _, m in _matches_reference(p))
+    assert multiple >= 100
+    for seed in range(60):
+        c = random_construct(seed)
+        assert len(_matches_reference(c.q.f.compose_map(c.p.gamma).trim(rel=1e-12))) == 9
+        assert len(_matches_reference(c.p.f.compose_map(c.q.gamma).trim(rel=1e-12))) == 9
 
 
 def test_exact_zero_roots_come_back_as_one_root():
@@ -155,6 +271,21 @@ def test_mobius_group_laws():
 def test_mobius_rejects_coincident_points():
     with pytest.raises(ValidationError):
         mobius_from_triple(1.0, 1.0 + 1e-15, 2.0)
+
+
+def rational_divisor(num, den):
+    """Divisor of the rational function num/den, infinity by degree deficit.
+
+    Zeros of numerator and denominator are found separately and cancelled
+    cluster-wise, so common factors (up to the root-finder accuracy) drop
+    out.
+    """
+    num, den = num.trim(), den.trim()
+    pts = poly_roots(num) if num.degree >= 1 else []
+    if den.degree >= 1:
+        pts += [(z, -m) for z, m in poly_roots(den)]
+    pts.append((INF, den.degree - num.degree))
+    return Divisor(pts).merged()
 
 
 def test_divisor_of_scale_function():

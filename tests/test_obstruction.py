@@ -1,5 +1,6 @@
 """The two evaluation routes, their consistency, rank, and the scan."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -12,7 +13,6 @@ from dualcx.cubics import (
     affine_direction,
     affine_family,
     random_construct,
-    transport_construct,
 )
 from dualcx.ncgeom import pic_equal, pic0_structure, duncehat_curve_graph
 from dualcx import obstruction
@@ -71,7 +71,7 @@ def test_lambda_factors_closed_form():
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
-def test_rows_nonzero_and_transport_invariant():
+def test_rows_nonzero_and_transport_invariant(transport_construct):
     c = random_construct(11)
     rows = eval_main_rows(c)
     assert all(v != 0 for v in rows.values)
@@ -138,6 +138,40 @@ def test_direct_pipeline_divisor_structure():
     assert chordal(found[1], t_psi) < 1e-7
     assert chordal(found[2], s_psi_pulled) < 1e-7
     assert chordal(found[-3], t_pole) < 1e-7
+
+
+def test_direct_pipeline_runs_once_per_construct_and_tolerances(monkeypatch):
+    c = random_construct(3)
+    calls = []
+    section = obstruction._section_divisor
+    monkeypatch.setattr(obstruction, "_section_divisor", lambda c, tol: calls.append(tol) or section(c, tol))
+    first = direct_pipeline_data(c)
+    again = direct_pipeline_data(c, DEFAULT_TOL)
+    assert len(calls) == 1 and all(a is b for a, b in zip(first, again))
+    tight = DEFAULT_TOL.with_overrides(root_residual=1e-10)
+    fresh = direct_pipeline_data(c, tight)
+    assert calls == [DEFAULT_TOL, tight] and fresh[0] is not first[0]
+    # a copy of the construct shares none of its results
+    assert fresh == direct_pipeline_data(dataclasses.replace(c), tight)
+    assert first == direct_pipeline_data(dataclasses.replace(c))
+    assert len(calls) == 4
+
+
+def test_direct_pipeline_rejection_is_not_kept(monkeypatch):
+    c = random_construct(3)
+    calls = []
+
+    def reject(c, tol):
+        calls.append(tol)
+        raise GuardError("divisor-imbalance", "rejected for the test")
+
+    monkeypatch.setattr(obstruction, "_section_divisor", reject)
+    for _ in range(2):
+        with pytest.raises(GuardError, match="rejected for the test"):
+            direct_pipeline_data(c)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert direct_pipeline_data(c) == direct_pipeline_data(dataclasses.replace(c))
 
 
 def test_direct_matches_rows_times_correction():
@@ -217,7 +251,7 @@ def test_gluing_triple_rejects_zero():
         GluingTriple((0.0, 1.0, 1.0), "rows", 0.5, 0.5)
 
 
-def test_jacobian_rank_full_and_invariant():
+def test_jacobian_rank_full_and_invariant(transport_construct):
     c = random_construct(11)
     jr = jacobian_rank(c)
     assert jr.rank == 4
