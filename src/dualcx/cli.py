@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
             report, ok = cmd_reproduce(args, tol)
         else:
             raise UsageError(f"unknown tool {args.tool!r}")
-    except (UsageError, ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

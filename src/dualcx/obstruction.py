@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .ncgeom import PicClass, duncehat_curve_graph, pic0_structure, pic_normalize
 from .numerics import (
     INF,
     DEFAULT_TOL,
@@ -141,14 +140,6 @@ def lambda_factors(c: Construct) -> tuple[complex, complex, complex]:
     return tuple(out)
 
 
-def lambda_factors_closed_form(n_p: complex, n_q: complex) -> tuple[complex, complex, complex]:
-    return (
-        n_q * (n_p - 1.0) ** 2 / n_p,
-        1.0 / (n_p * n_q),
-        n_p * n_q / (n_q - 1.0) ** 2,
-    )
-
-
 # ---------------------------------------------------------------------------
 # result containers
 # ---------------------------------------------------------------------------
@@ -187,12 +178,6 @@ class JPoint:
 
     def ratio(self, other: "JPoint") -> tuple[complex, complex]:
         return (self.g21 / other.g21, self.g31 / other.g31)
-
-
-def jpoint_as_pic_class(t: GluingTriple) -> PicClass:
-    """The same class as an element of the gluing-data torus of the curve."""
-    torus = pic0_structure(duncehat_curve_graph())
-    return pic_normalize(torus, t.values)
 
 
 @dataclass(frozen=True)

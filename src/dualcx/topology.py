@@ -37,10 +37,6 @@ MAX_HOMOLOGY_DIM = 4
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s a + t b = g = gcd(a, b), g > 0 for (a, b) != (0, 0)."""
     old_r, r = a, b
@@ -56,10 +52,68 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+_SWAP = ((0, 1), (1, 0))
+
+
+def _row_op(mats, t: int, i: int, block) -> None:
+    """Replace rows (t, i) of every matrix in ``mats`` by the 2x2 ``block`` times them.
+
+    A block row equal to a row of the identity takes that row over as it is,
+    so a swap moves no entries, ``((1, 0), (c, d))`` rewrites row i only,
+    and with ``t == i`` the second block row alone acts: ``((1, 0), (0, -1))``
+    negates the row.
+    """
+    for M in mats:
+        x, y = M[t], M[i]
+        M[t], M[i] = _mix(block[0], x, y), _mix(block[1], x, y)
+
+
+def _mix(coeffs, x, y):
+    """The row ``a x + b y`` for ``coeffs == (a, b)``; x or y itself for (1, 0) or (0, 1)."""
+    a, b = coeffs
+    if b == 0 and a == 1:
+        return x
+    if a == 0 and b == 1:
+        return y
+    return [a * p + b * q for p, q in zip(x, y)]
+
+
+def _clear_column(mats, t: int) -> bool:
+    """Zero column t of ``mats[0]`` below the pivot by row operations on all of ``mats``.
+
+    Exact multiples eliminate plainly (the pivot row is untouched);
+    otherwise a 2x2 Bezout block runs, which strictly shrinks the pivot to
+    the gcd.  Euclid's coefficients are not used in the exact case on
+    purpose: for divisible pairs they can return a mixing block (s = 0)
+    that would undo previous clearing forever.  Returns whether row t is
+    then zero beyond the pivot.
+    """
+    A = mats[0]
+    for i in range(t + 1, len(A)):
+        a, b = A[t][t], A[i][t]
+        if b == 0:
+            continue
+        if a == 0:
+            block = _SWAP
+        elif b % a == 0:
+            block = ((1, 0), (-(b // a), 1))
+        else:
+            g, s, tt = _extended_gcd(a, b)
+            block = ((s, tt), (-(b // g), a // g))
+        _row_op(mats, t, i, block)
+    return not any(A[t][t + 1 :])
+
+
+def _transpose(M) -> list[list[int]]:
+    return list(map(list, zip(*M)))
+
+
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form over the integers: returns (D, U, V), U M V = D.
 
     D is diagonal with d_i | d_{i+1} and d_i >= 0; U and V are unimodular.
+    Every step is one unimodular two-row operation (:func:`_row_op`): row
+    steps act on (A, U), column steps on the transposes (A^T, V^T).
     Elimination uses 2x2 Bezout blocks (one shot per entry, determinant
     one), which terminates with moderate coefficient growth; arithmetic is
     exact arbitrary-precision throughout.
@@ -67,116 +121,39 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    def clear_row_entry(t: int, i: int):
-        """Zero A[i][t] against the pivot by a unimodular row operation.
-
-        Exact multiples eliminate plainly (the pivot row is untouched);
-        otherwise a 2x2 Bezout block runs, which strictly shrinks the
-        pivot to the gcd.  Euclid's coefficients are not used in the exact
-        case on purpose: for divisible pairs they can return a mixing
-        block (s = 0) that would undo previous clearing forever.
-        """
-        a, b = A[t][t], A[i][t]
-        if b == 0:
-            return
-        if a == 0:
-            A[t], A[i] = A[i], A[t]
-            U[t], U[i] = U[i], U[t]
-            return
-        if b % a == 0:
-            q = b // a
-            A[i] = [y - q * x for x, y in zip(A[t], A[i])]
-            U[i] = [y - q * x for x, y in zip(U[t], U[i])]
-            return
-        g, s, tt = _extended_gcd(a, b)
-        af, bf = a // g, b // g
-        row_t = [s * x + tt * y for x, y in zip(A[t], A[i])]
-        row_i = [-bf * x + af * y for x, y in zip(A[t], A[i])]
-        A[t], A[i] = row_t, row_i
-        u_t = [s * x + tt * y for x, y in zip(U[t], U[i])]
-        u_i = [-bf * x + af * y for x, y in zip(U[t], U[i])]
-        U[t], U[i] = u_t, u_i
-
-    def clear_col_entry(t: int, j: int):
-        a, b = A[t][t], A[t][j]
-        if b == 0:
-            return
-        if a == 0:
-            for r in range(m):
-                A[r][t], A[r][j] = A[r][j], A[r][t]
-            for r in range(n):
-                V[r][t], V[r][j] = V[r][j], V[r][t]
-            return
-        if b % a == 0:
-            q = b // a
-            for r in range(m):
-                A[r][j] -= q * A[r][t]
-            for r in range(n):
-                V[r][j] -= q * V[r][t]
-            return
-        g, s, tt = _extended_gcd(a, b)
-        af, bf = a // g, b // g
-        for r in range(m):
-            x, y = A[r][t], A[r][j]
-            A[r][t], A[r][j] = s * x + tt * y, -bf * x + af * y
-        for r in range(n):
-            x, y = V[r][t], V[r][j]
-            V[r][t], V[r][j] = s * x + tt * y, -bf * x + af * y
-
+    U, Vt = ([[1 if i == j else 0 for j in range(k)] for i in range(k)] for k in (m, n))
     t = 0
     while t < min(m, n):
-        # move some nonzero entry of the trailing block to the pivot seat
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        # move the first nonzero entry of the trailing block to the pivot seat
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if A[i][j]), None)
         if pivot is None:
             break
         if pivot[0] != t:
-            A[t], A[pivot[0]] = A[pivot[0]], A[t]
-            U[t], U[pivot[0]] = U[pivot[0]], U[t]
+            _row_op((A, U), t, pivot[0], _SWAP)
         if pivot[1] != t:
-            for r in range(m):
-                A[r][t], A[r][pivot[1]] = A[r][pivot[1]], A[r][t]
-            for r in range(n):
-                V[r][t], V[r][pivot[1]] = V[r][pivot[1]], V[r][t]
+            At = _transpose(A)
+            _row_op((At, Vt), t, pivot[1], _SWAP)
+            A = _transpose(At)
         # alternate row and column clearing; the pivot gcd-decreases, and
         # once it stabilizes one exact pass leaves both clear
-        while True:
-            for i in range(t + 1, m):
-                clear_row_entry(t, i)
-            if all(A[t][j] == 0 for j in range(t + 1, n)):
+        while not _clear_column((A, U), t):
+            At = _transpose(A)
+            cleared = _clear_column((At, Vt), t)
+            A = _transpose(At)
+            if cleared:
                 break
-            for j in range(t + 1, n):
-                clear_col_entry(t, j)
-            if all(A[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # divisibility: fold a non-multiple entry into the pivot row, redo
-        retry = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    A[t] = [x + y for x, y in zip(A[t], A[i])]
-                    U[t] = [x + y for x, y in zip(U[t], U[i])]
-                    retry = True
-                    break
-            if retry:
-                break
-        if not retry:
+        # divisibility: fold a row with a non-multiple entry into the pivot row, redo
+        p = A[t][t]
+        fold = next((i for i in range(t + 1, m) if any([x % p for x in A[i][t + 1 :]])), None)
+        if fold is None:
             t += 1
+        else:
+            _row_op((A, U), t, fold, ((1, 1), (0, 1)))
 
     for i in range(min(m, n)):
         if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    return A, U, V
+            _row_op((A, U), i, i, ((1, 0), (0, -1)))
+    return A, U, _transpose(Vt)
 
 
 def lattice_span_index(vectors) -> int:
@@ -512,7 +489,7 @@ def barycentric_subdivision(x) -> SemiSimplicialSet:
         level = []
         for d in range(t.dimension + 1):
             for i in range(t.count(d)):
-                for chain in _full_chains(d + 1, ln):
+                for chain in _full_chains_to(frozenset(range(d + 1)), ln):
                     level.append(((d, i), chain))
         cells_by_len.append(sorted(level, key=_cell_sort_key))
     index = [{c: k for k, c in enumerate(level)} for level in cells_by_len]
@@ -539,20 +516,8 @@ def _cell_sort_key(cell):
     return (d, i, tuple(tuple(sorted(s)) for s in chain))
 
 
-def _full_chains(n_slots: int, length: int):
-    """Strictly nested subset chains of {0..n_slots-1} ending at the full set."""
-    full = frozenset(range(n_slots))
-    if length == 1:
-        return [(full,)]
-    out = []
-    for size in range(length - 1, n_slots):
-        for sub in combinations(range(n_slots), size):
-            for chain in _full_chains_to(frozenset(sub), length - 1):
-                out.append(chain + (full,))
-    return out
-
-
 def _full_chains_to(top: frozenset, length: int):
+    """Strictly nested subset chains of the given length ending at ``top``."""
     if length == 1:
         return [(top,)]
     out = []
@@ -739,15 +704,19 @@ def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _eliminations(p: GroupPresentation):
-    """(relator, gen, value) for each generator occurring exactly once in a
-    relator, with the value the relator forces; relators by length, then
-    generators in order."""
+    """(gen, value) for each generator occurring exactly once in a relator,
+    with the value the relator forces; relators by length, then generators
+    in order."""
     for rel in sorted(p.relators, key=len):
-        once = {g for g, n in Counter(map(abs, rel)).items() if n == 1}
-        for k in sorted(range(len(rel)), key=lambda k: abs(rel[k])):
-            if abs(rel[k]) in once:
-                rest = rel[k + 1 :] + rel[:k]
-                yield rel, abs(rel[k]), _inverse(rest) if rel[k] > 0 else rest
+        for g in _once(rel):
+            yield g, _solve_for(rel, g)
+
+
+def _solve_for(word: tuple[int, ...], gen: int) -> tuple[int, ...]:
+    """The value ``word = 1`` forces for a generator occurring in it once."""
+    k = next(k for k, x in enumerate(word) if abs(x) == gen)
+    rest = word[k + 1 :] + word[:k]
+    return _inverse(rest) if word[k] > 0 else rest
 
 
 def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
@@ -777,9 +746,7 @@ def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
         if best is None:
             break
         _, w, g = best
-        k = next(k for k, x in enumerate(w) if abs(x) == g)
-        rest = w[k + 1 :] + w[:k]
-        value = _inverse(rest) if w[k] > 0 else rest
+        value = _solve_for(w, g)
         moves.append(("eliminate", now(g), tuple(map(now, value))))
         insort(gone, g)
         kept = []
@@ -840,7 +807,7 @@ def tietze_trivialize(p: GroupPresentation, budget: int = 1_000_000) -> TietzeRe
         if cur.num_generators == 0:
             return TietzeResult("trivial", tuple(moves), "reached the empty presentation", explored)
 
-        candidates = [(_drop_generator(cur, g, v), ("eliminate", g, v)) for _, g, v in _eliminations(cur)]
+        candidates = [(_drop_generator(cur, g, v), ("eliminate", g, v)) for g, v in _eliminations(cur)]
         # shorten a relator against another
         for i, j, e, nxt in _relator_products(cur):
             candidates.append((nxt, ("multiply", i, j, e)))

@@ -139,6 +139,21 @@ def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, 
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["topo", "homology", "{dir}"], ["topo", "homology", "{bin}"], ["nc", "chi", "{bin}"],
+     ["cubic", "show", "{bin}"], ["cubic", "make", "--out", "{dir}"], ["obs", "data", "{dir}"]],
+    ids=["topo-dir", "topo-binary", "nc-binary", "cubic-binary", "cubic-out-dir", "obs-dir"],
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, argv):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00not text")
+    argv = [a.format(dir=tmp_path, bin=binary) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "command, options",
     [("topo euler", ["--json"]), ("topo collapse", ["--budget", "5", "--json"]), ("nc chi", ["--json"]),
      ("nc pi1", ["--budget", "50", "--json"]), ("cubic validate", ["--json"]),

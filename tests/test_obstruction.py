@@ -14,7 +14,7 @@ from dualcx.cubics import (
     affine_family,
     random_construct,
 )
-from dualcx.ncgeom import pic_equal, pic0_structure, duncehat_curve_graph
+from dualcx.ncgeom import PicClass, duncehat_curve_graph, pic0_structure, pic_equal, pic_normalize
 from dualcx import obstruction
 from dualcx.obstruction import (
     FamilyClassMap,
@@ -25,15 +25,28 @@ from dualcx.obstruction import (
     direct_pipeline_data,
     eval_main_rows,
     jacobian_rank,
-    jpoint_as_pic_class,
     lambda_factors,
-    lambda_factors_closed_form,
     scale_derivatives,
     sb_values,
     seeded_family,
     surjectivity_scan,
     vanishing_scale,
 )
+
+
+def lambda_factors_closed_form(n_p: complex, n_q: complex) -> tuple[complex, complex, complex]:
+    """The three lambda factors in closed form in the marks; the oracle for ``lambda_factors``."""
+    return (
+        n_q * (n_p - 1.0) ** 2 / n_p,
+        1.0 / (n_p * n_q),
+        n_p * n_q / (n_q - 1.0) ** 2,
+    )
+
+
+def jpoint_as_pic_class(t: GluingTriple) -> PicClass:
+    """The same class as an element of the gluing-data torus of the curve."""
+    torus = pic0_structure(duncehat_curve_graph())
+    return pic_normalize(torus, t.values)
 
 
 def test_vanishing_scale_zeros_and_invariance():

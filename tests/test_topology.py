@@ -8,8 +8,9 @@ from itertools import combinations, groupby
 import numpy as np
 import pytest
 
-from dualcx import simplicial
+from dualcx import accept, simplicial
 from dualcx.errors import BudgetError, ValidationError
+from dualcx.ncgeom import pic0_structure
 from dualcx.simplicial import (
     BUILTIN_COMPLEXES,
     SemiSimplicialSet,
@@ -31,6 +32,7 @@ from dualcx.topology import (
     GroupPresentation,
     IntegerChainComplex,
     _drop_generator,
+    _extended_gcd,
     _eliminations,
     _greedy_pass,
     _start_presentation,
@@ -116,6 +118,153 @@ def integer_det(matrix) -> int:
             a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     assert det.denominator == 1
     return int(det)
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _reference_smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form by entry-wise row and column updates, kept as the
+    oracle :func:`smith_normal_form` must match bit for bit: (D, U, V), U M V = D.
+
+    D is diagonal with d_i | d_{i+1} and d_i >= 0; U and V are unimodular.
+    Elimination uses 2x2 Bezout blocks (one shot per entry, determinant
+    one), which terminates with moderate coefficient growth; arithmetic is
+    exact arbitrary-precision throughout.
+    """
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = _identity(m)
+    V = _identity(n)
+
+    def clear_row_entry(t: int, i: int):
+        """Zero A[i][t] against the pivot by a unimodular row operation.
+
+        Exact multiples eliminate plainly (the pivot row is untouched);
+        otherwise a 2x2 Bezout block runs, which strictly shrinks the
+        pivot to the gcd.  Euclid's coefficients are not used in the exact
+        case on purpose: for divisible pairs they can return a mixing
+        block (s = 0) that would undo previous clearing forever.
+        """
+        a, b = A[t][t], A[i][t]
+        if b == 0:
+            return
+        if a == 0:
+            A[t], A[i] = A[i], A[t]
+            U[t], U[i] = U[i], U[t]
+            return
+        if b % a == 0:
+            q = b // a
+            A[i] = [y - q * x for x, y in zip(A[t], A[i])]
+            U[i] = [y - q * x for x, y in zip(U[t], U[i])]
+            return
+        g, s, tt = _extended_gcd(a, b)
+        af, bf = a // g, b // g
+        row_t = [s * x + tt * y for x, y in zip(A[t], A[i])]
+        row_i = [-bf * x + af * y for x, y in zip(A[t], A[i])]
+        A[t], A[i] = row_t, row_i
+        u_t = [s * x + tt * y for x, y in zip(U[t], U[i])]
+        u_i = [-bf * x + af * y for x, y in zip(U[t], U[i])]
+        U[t], U[i] = u_t, u_i
+
+    def clear_col_entry(t: int, j: int):
+        a, b = A[t][t], A[t][j]
+        if b == 0:
+            return
+        if a == 0:
+            for r in range(m):
+                A[r][t], A[r][j] = A[r][j], A[r][t]
+            for r in range(n):
+                V[r][t], V[r][j] = V[r][j], V[r][t]
+            return
+        if b % a == 0:
+            q = b // a
+            for r in range(m):
+                A[r][j] -= q * A[r][t]
+            for r in range(n):
+                V[r][j] -= q * V[r][t]
+            return
+        g, s, tt = _extended_gcd(a, b)
+        af, bf = a // g, b // g
+        for r in range(m):
+            x, y = A[r][t], A[r][j]
+            A[r][t], A[r][j] = s * x + tt * y, -bf * x + af * y
+        for r in range(n):
+            x, y = V[r][t], V[r][j]
+            V[r][t], V[r][j] = s * x + tt * y, -bf * x + af * y
+
+    t = 0
+    while t < min(m, n):
+        # move some nonzero entry of the trailing block to the pivot seat
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            A[t], A[pivot[0]] = A[pivot[0]], A[t]
+            U[t], U[pivot[0]] = U[pivot[0]], U[t]
+        if pivot[1] != t:
+            for r in range(m):
+                A[r][t], A[r][pivot[1]] = A[r][pivot[1]], A[r][t]
+            for r in range(n):
+                V[r][t], V[r][pivot[1]] = V[r][pivot[1]], V[r][t]
+        # alternate row and column clearing; the pivot gcd-decreases, and
+        # once it stabilizes one exact pass leaves both clear
+        while True:
+            for i in range(t + 1, m):
+                clear_row_entry(t, i)
+            if all(A[t][j] == 0 for j in range(t + 1, n)):
+                break
+            for j in range(t + 1, n):
+                clear_col_entry(t, j)
+            if all(A[i][t] == 0 for i in range(t + 1, m)):
+                break
+        # divisibility: fold a non-multiple entry into the pivot row, redo
+        retry = False
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % A[t][t] != 0:
+                    A[t] = [x + y for x, y in zip(A[t], A[i])]
+                    U[t] = [x + y for x, y in zip(U[t], U[i])]
+                    retry = True
+                    break
+            if retry:
+                break
+        if not retry:
+            t += 1
+
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    return A, U, V
+
+
+def _smith_oracle_cases():
+    rng = np.random.default_rng(16)
+    cases = [[], [[]], [[0]], [[0, 0, 0]], [[0], [0]], [[0] * 5 for _ in range(4)]]
+    for _ in range(1500):
+        m, n = int(rng.integers(0, 9)), int(rng.integers(1, 10))
+        entries = rng.integers(-40, 41, size=(m, n)) * (rng.random((m, n)) >= 0.4)
+        cases.append(entries.tolist())
+    graph_rng = np.random.default_rng(2024)
+    for _ in range(200):
+        torus = pic0_structure(accept._random_incidence_graph(graph_rng))
+        cases.append([list(row) for row in torus.relation_generators])
+    return cases
+
+
+def test_smith_normal_form_matches_the_reference_bitwise():
+    for matrix in _smith_oracle_cases():
+        assert smith_normal_form(matrix) == _reference_smith_normal_form(matrix), matrix
 
 
 def test_smith_normal_form_randomized_self_check():
@@ -592,13 +741,25 @@ def test_malformed_complex_is_refused_at_every_entry_point(entry):
         entry(bad)
 
 
+def _reference_eliminations(p: GroupPresentation):
+    """(relator, gen, value) for each generator occurring exactly once in a
+    relator, with the value the relator forces; relators by length, then
+    generators in order."""
+    for rel in sorted(p.relators, key=len):
+        once = {g for g, n in Counter(map(abs, rel)).items() if n == 1}
+        for k in sorted(range(len(rel)), key=lambda k: abs(rel[k])):
+            if abs(rel[k]) in once:
+                rest = rel[k + 1 :] + rel[:k]
+                yield rel, abs(rel[k]), tuple(-x for x in reversed(rest)) if rel[k] > 0 else rest
+
+
 def _reference_greedy_elimination(p: GroupPresentation):
     """The elimination from a shortest relator with the least length growth,
     or None.  The growth is estimated before free reduction: each other
     occurrence of the generator grows by ``len(rel) - 2``.  Only the first
     relator length that has an elimination is enumerated; ties keep the
     first elimination."""
-    first = next(groupby(_eliminations(p), key=lambda e: len(e[0])), None)
+    first = next(groupby(_reference_eliminations(p), key=lambda e: len(e[0])), None)
     if first is None:
         return None
     length, group = first
@@ -635,6 +796,7 @@ def test_greedy_pass_matches_the_rewriting_reference():
     moved = 0
     for p in cases:
         start = _start_presentation(p)
+        assert list(_eliminations(start)) == [(g, v) for _, g, v in _reference_eliminations(start)], p
         got = _greedy_pass(start)
         assert got == _reference_greedy_pass(start), p
         moved += bool(got[1])
