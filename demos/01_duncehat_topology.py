@@ -34,7 +34,7 @@ def show(name, x):
     print("simple:             ", is_simple(x))
     print("free faces:         ", free_faces(x))
     collapse = is_collapsible(x, budget=100_000)
-    print("collapsibility:     ", collapse.status, f"(search exhausted: {collapse.exhausted})")
+    print("collapsibility:     ", collapse.status, f"(stuck 2-core, cells per dimension: {collapse.core_counts})")
     pres = edge_path_presentation(x)
     print("pi1 presentation:    generators", pres.num_generators, "relators", pres.relators)
     tz = tietze_trivialize(pres)

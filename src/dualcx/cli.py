@@ -121,6 +121,8 @@ def cmd_topo(args) -> tuple[dict, bool]:
             "search_exhausted": res.exhausted,
             "certificate": [[list(g), list(f)] for g, f in res.certificate] if res.certificate else None,
         }
+        if res.core_counts is not None:
+            report["core_counts"] = list(res.core_counts)
         return report, res.status != "inconclusive"
     if args.topo_cmd == "pi1":
         pres = topology.edge_path_presentation(x)
@@ -305,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     common.add_argument("--seed", type=int)
-    common.add_argument("--budget", type=int)
+    common.add_argument("--budget", type=int,
+                        help="state budget of the Tietze search and of the collapse search, which runs in dimension >= 3 "
+                             "only (a 2-complex is decided by one greedy pass)")
     common.add_argument("--tol-root", type=float, help="root-finder backward error")
     common.add_argument("--tol-cluster", type=float, help="cluster radius for roots and divisors")
     common.add_argument("--tol-rank", type=float, help="relative singular-value floor for ranks")

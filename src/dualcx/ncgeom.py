@@ -149,7 +149,22 @@ def _dec_bool(v) -> bool:
     return v
 
 
-def _dec_stratum(d: dict) -> Stratum:
+def _dec_count(v) -> int:
+    n = _dec_int(v)
+    if n < 0:
+        raise ValueError(f"wants a count of at least 0, got {n}")
+    return n
+
+
+def _dec_even(v) -> int:
+    n = _dec_int(v)
+    if n % 2:
+        raise ValueError(f"wants an even number (each curve component gives 2 - 2g), got {n}")
+    return n
+
+
+def _dec_stratum(d: dict, codim: int) -> Stratum:
+    """A stratum of the given codimension; a double curve's chi must be even."""
     def optional(key, decode):
         return decode_field(d, key, decode) if key in d else None
 
@@ -157,16 +172,18 @@ def _dec_stratum(d: dict) -> Stratum:
         branches=decode_field(d, "branches", _dec_int),
         branch_trivial=decode_field(d, "branch_trivial", _dec_bool) if "branch_trivial" in d else True,
         attach=tuple(map(_dec_attachment, d.get("attach", []))),
-        chi_normalization=optional("chi_normalization", _dec_int),
+        chi_normalization=optional("chi_normalization", _dec_even if codim == 1 else _dec_int),
         normal_degrees=optional("normal_degrees", _dec_pair),
-        triple_count=optional("triple_count", _dec_int),
+        triple_count=optional("triple_count", _dec_count),
     )
 
 
 def ncsurf_from_json_dict(data: dict) -> NCSurfaceDescription:
     if not isinstance(data, dict) or data.get("kind") != "ncsurf" or data.get("schema") != SCHEMA_VERSION:
         raise ValidationError("not a supported surface description file")
-    levels = decode_field(data, "strata", lambda v: [tuple(map(_dec_stratum, level)) for level in v])
+    levels = decode_field(
+        data, "strata", lambda v: [tuple(_dec_stratum(st, k) for st in level) for k, level in enumerate(v)]
+    )
     while len(levels) < 3:
         levels.append(tuple())
     out = NCSurfaceDescription(strata=(levels[0], levels[1], levels[2]), name=data.get("name", ""))

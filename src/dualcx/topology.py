@@ -113,7 +113,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
     D is diagonal with d_i | d_{i+1} and d_i >= 0; U and V are unimodular.
     Every step is one unimodular two-row operation (:func:`_row_op`): row
-    steps act on (A, U), column steps on the transposes (A^T, V^T).
+    steps act on (A, U), column steps on the transposes (A^T, V^T); a
+    column swap exchanges the two entries of each row of A in place.
     Elimination uses 2x2 Bezout blocks (one shot per entry, determinant
     one), which terminates with moderate coefficient growth; arithmetic is
     exact arbitrary-precision throughout.
@@ -131,9 +132,10 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
         if pivot[0] != t:
             _row_op((A, U), t, pivot[0], _SWAP)
         if pivot[1] != t:
-            At = _transpose(A)
-            _row_op((At, Vt), t, pivot[1], _SWAP)
-            A = _transpose(At)
+            j = pivot[1]
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            _row_op((Vt,), t, j, _SWAP)
         # alternate row and column clearing; the pivot gcd-decreases, and
         # once it stabilizes one exact pass leaves both clear
         while not _clear_column((A, U), t):
@@ -365,43 +367,89 @@ def free_faces(x) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Outcome of the exhaustive collapse search.
+    """Outcome of a collapsibility decision.
 
     status is 'collapsible', 'non_collapsible', or 'inconclusive';
     ``certificate`` is the ordered list of removed (free face, coface)
-    pairs when status is 'collapsible'.  'non_collapsible' is only
-    reported when the whole search space was enumerated within budget.
+    pairs when status is 'collapsible'.  'non_collapsible' is reported
+    with ``exhausted`` set: in dimension at most 2 when the collapse got
+    stuck, above that only when the whole search space was enumerated
+    within budget.  ``core_counts`` holds the cell counts per dimension of
+    the stuck complex (the 2-core) in dimension at most 2, else None.
     """
 
     status: str
     certificate: tuple | None
     states_explored: int
     exhausted: bool
+    core_counts: tuple[int, ...] | None = None
 
 
 def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
-    """Backtracking search over all collapse sequences with memoization.
+    """Decide whether the complex collapses to a vertex.
 
-    A state is the bitmask of the surviving cells over the cell list sorted
-    by (dim, id), which is an exact canonical form for this search.  Each
-    cell's incidence from the other alive cells is kept in a count list and
-    updated for the two cells of every removed pair, and restored when the
-    search backs out.  Free pairs are tried in lexicographic order, so the
-    first certificate found is the lexicographically least one.
+    Free pairs are taken in lexicographic order over the cells sorted by
+    (dim, id), so a certificate is the lexicographically least collapse
+    sequence.  Each cell's incidence from the other alive cells is kept in
+    a count list, updated for the two cells of every removed pair; only the
+    faces of the removed coface can become free.
+
+    In dimension at most 2 one greedy pass decides, at any budget: removals
+    only lower counts, so a free pair stays free until its coface goes and
+    the stuck complex (the 2-core) does not depend on the order, and a
+    graph collapses to a vertex exactly when it is a tree.  It explores one
+    state per removed pair, plus the stuck one.  In dimension 3 and up,
+    where deciding is NP-complete, a backtracking search with memoization
+    runs over the bitmasks of alive cells, 'inconclusive' past ``budget``
+    states.
     """
     if budget <= 0:
         raise BudgetError("collapse search needs a positive budget")
-    table = _as_tset(x).incidence
-    seen: set[int] = set()
+    t = _as_tset(x)
+    table = t.incidence
     full, count = (1 << len(table.cells)) - 1, table.counts()
-    cert = _collapse_search(table, full, count, table.free_pairs(full, count, range(len(count))), seen, budget)
-    explored = len(seen)
-    if cert is not None:
-        cells = table.cells
-        return CollapseResult("collapsible", tuple((cells[g], cells[f]) for g, f in cert), explored, exhausted=False)
-    if explored > budget:
-        return CollapseResult("inconclusive", None, explored, exhausted=False)
-    return CollapseResult("non_collapsible", None, explored, exhausted=True)
+    free = table.free_pairs(full, count, range(len(count)))
+    if t.dimension <= 2:
+        cert, left = _greedy_collapse(table, full, count, free)
+        if not table.is_vertex(left):
+            core = Counter(table.cells[h][0] for h in range(len(table.cells)) if left >> h & 1)
+            return CollapseResult("non_collapsible", None, len(cert) + 1, exhausted=True,
+                                  core_counts=tuple(core[d] for d in range(t.dimension + 1)))
+        explored = len(cert)
+    else:
+        seen: set[int] = set()
+        cert = _collapse_search(table, full, count, free, seen, budget)
+        explored = len(seen)
+        if cert is None:
+            if explored > budget:
+                return CollapseResult("inconclusive", None, explored, exhausted=False)
+            return CollapseResult("non_collapsible", None, explored, exhausted=True)
+    cells = table.cells
+    return CollapseResult("collapsible", tuple((cells[g], cells[f]) for g, f in cert), explored, exhausted=False)
+
+
+def _greedy_collapse(table: _Incidence, alive: int, count: list[int], free: list) -> tuple[list, int]:
+    """Remove the least free pair until a vertex is left or none is free.
+
+    Returns the removed index pairs and the cells left.  ``free`` is a heap
+    of the free pairs (a sorted list is one), updated as the search updates
+    its list.  A pair whose coface went with another face is dropped when
+    it surfaces; a pair whose coface is alive is still free, since its face
+    has no other coface to lose.
+    """
+    cert = []
+    while not table.is_vertex(alive):
+        while free and not alive >> free[0][1] & 1:
+            heapq.heappop(free)
+        if not free:
+            break
+        g, f = heapq.heappop(free)
+        alive &= ~(1 << g | 1 << f)
+        table.add(count, (g, f), -1)
+        for pair in table.free_pairs(alive, count, [h for h, _ in table.faces[f]]):
+            heapq.heappush(free, pair)
+        cert.append((g, f))
+    return cert, alive
 
 
 def _collapse_search(table: _Incidence, alive: int, count: list[int], free: list, seen: set, budget: int):

@@ -6,6 +6,8 @@ import pytest
 
 from dualcx.cli import main
 from dualcx.ncgeom import builtin_surface
+from dualcx.simplicial import complex_from_json, make_single_2_simplex
+from dualcx.topology import barycentric_subdivision, replay_collapse
 
 
 def run(capsys, *argv):
@@ -49,6 +51,25 @@ def test_collapse_and_pi1(capsys, tmp_path):
     code, out, _ = run(capsys, "nc", "pi1", "--builtin", "wrong-case", "--assume-simply-connected", "--json")
     assert code == 1  # certification fails, loudly
     assert json.loads(out)["report"]["status"] == "unknown"
+
+
+def test_collapse_of_a_deep_collapsible_complex(capsys, tmp_path):
+    # the 2-simplex's fourth subdivision (673/1968/1296 cells) needs 1968
+    # collapses, more than a recursive search has stack frames for
+    x = make_single_2_simplex()
+    for _ in range(4):
+        x = barycentric_subdivision(x)
+    path = tmp_path / "sd4.json"
+    path.write_text(json.dumps(x.to_json_dict()))
+    code, out, err = run(capsys, "topo", "collapse", str(path), "--json")
+    assert code == 0 and not err
+    rep = json.loads(out)["report"]
+    assert rep["status"] == "collapsible" and rep["states_explored"] == 1968 and "core_counts" not in rep
+    assert replay_collapse(complex_from_json(path.read_text()), rep["certificate"])
+    # a stuck 2-complex reports the cells left, here all of the dunce hat
+    code, out, _ = run(capsys, "topo", "collapse", "--builtin", "duncehat", "--json")
+    rep = json.loads(out)["report"]
+    assert code == 0 and rep["core_counts"] == [1, 1, 1] and rep["search_exhausted"]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,6 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from dualcx.cli import main
 from dualcx.errors import GuardError, ValidationError
 from dualcx.ncgeom import (
     CurveIncidenceGraph,
@@ -238,6 +239,26 @@ def test_triple_count_consistency_enforced():
     )
     with pytest.raises(ValidationError):
         bad.validate()
+
+
+@pytest.mark.parametrize(
+    "level, key, value, message",
+    [(1, "triple_count", -2, "count of at least 0"), (1, "chi_normalization", 3, "even number"),
+     (1, "chi_normalization", -1, "even number")],
+)
+def test_decoration_ranges_refused_at_decode(capsys, tmp_path, level, key, value, message):
+    data = duncehat_surface_description().to_json_dict()
+    data["strata"][level][0][key] = value
+    with pytest.raises(ValidationError, match=f"field '{key}'.*{message}"):
+        ncsurf_from_json(json.dumps(data))
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    assert main(["nc", "kulikov", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: missing or malformed field '{key}'")
+    # a component's chi may be odd: a plane blown up in n points has 3 + n
+    data = duncehat_surface_description().to_json_dict()
+    data["strata"][0][0]["chi_normalization"] = 9
+    assert ncsurf_from_json(json.dumps(data)).components()[0].chi_normalization == 9
 
 
 def test_one_triangulated_validation_per_surface(monkeypatch):

@@ -2,6 +2,7 @@
 
 import gc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, groupby
 
@@ -299,15 +300,17 @@ def test_free_faces():
 def test_collapsibility_verdicts():
     dunce = is_collapsible(make_duncehat(), budget=10_000)
     assert dunce.status == "non_collapsible" and dunce.exhausted
+    assert dunce.core_counts == (1, 1, 1)  # no free face: all of it is critical
     simp = is_collapsible(make_single_2_simplex(), budget=10_000)
-    assert simp.status == "collapsible" and len(simp.certificate) == 3
+    assert simp.status == "collapsible" and len(simp.certificate) == 3 and simp.core_counts is None
     assert replay_collapse(make_single_2_simplex(), simp.certificate)
     sphere = is_collapsible(make_tetrahedron_boundary(), budget=50_000)
-    assert sphere.status == "non_collapsible"
+    assert sphere.status == "non_collapsible" and sphere.core_counts == (4, 6, 4)
     with pytest.raises(BudgetError):
         is_collapsible(make_duncehat(), budget=0)
     # the empty complex has no vertex to collapse to; a lone vertex is one already
-    assert is_collapsible(SemiSimplicialSet(0, ())) == CollapseResult("non_collapsible", None, 1, exhausted=True)
+    assert is_collapsible(SemiSimplicialSet(0, ())) == CollapseResult("non_collapsible", None, 1, exhausted=True,
+                                                                      core_counts=(0,))
     assert is_collapsible(SemiSimplicialSet(1, ())) == CollapseResult("collapsible", (), 0, exhausted=False)
     assert free_faces(SemiSimplicialSet(0, ())) == []
 
@@ -516,8 +519,9 @@ def test_isomorphism_rejects_equal_count_twins():
 
 
 def test_collapse_search_leaves_no_cyclic_garbage():
-    # the explored-state memo must go with the call, not wait for the cycle collector
-    x = _wedge(make_duncehat(), barycentric_subdivision(make_single_2_simplex()))
+    # the explored-state memo must go with the call, not wait for the cycle
+    # collector; the search runs from dimension 3 up (385 states here)
+    x = _wedge(_wedge(make_duncehat(), make_single_2_simplex()), _solid_tetrahedron())
     gc.collect()
     gc.disable()
     try:
@@ -563,12 +567,16 @@ def _reference_free_pairs(paths, alive):
 
 
 def _reference_search(paths, alive, seen, budget):
-    """The collapse search over frozenset states, with a full rescan per state."""
+    """The collapse search over frozenset states, with a full rescan per state.
+
+    ``seen`` is a dict used as an ordered set: its keys are the states in
+    the order they were entered.
+    """
     if len(alive) == 1 and next(iter(alive))[0] == 0:
         return []
     if alive in seen:
         return None
-    seen.add(alive)
+    seen[alive] = None
     if len(seen) > budget:
         return None
     for g, f in _reference_free_pairs(paths, alive):
@@ -581,41 +589,140 @@ def _reference_search(paths, alive, seen, budget):
 
 
 def _reference_collapse(x, budget):
+    """The search's result, and the states of its first descent.
+
+    Without backtracking each state entered is a child of the one before;
+    the first state that is not a subset of its predecessor follows a
+    backtrack.
+    """
     t = _as_tset(x)
     paths = _coface_paths(t)
     cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
-    seen = set()
+    seen = {}
     cert = _reference_search(paths, cells, seen, budget)
+    states = list(seen)
+    descent = states[: next((k for k in range(1, len(states)) if not states[k] < states[k - 1]), len(states))]
     if cert is not None:
-        return CollapseResult("collapsible", tuple(cert), len(seen), exhausted=False)
+        return CollapseResult("collapsible", tuple(cert), len(seen), exhausted=False), descent
     if len(seen) > budget:
-        return CollapseResult("inconclusive", None, len(seen), exhausted=False)
-    return CollapseResult("non_collapsible", None, len(seen), exhausted=True)
+        return CollapseResult("inconclusive", None, len(seen), exhausted=False), descent
+    return CollapseResult("non_collapsible", None, len(seen), exhausted=True), descent
+
+
+def _random_2_complexes(seed, count):
+    """Seeded random semi-simplicial sets of dimension at most 2, every other one without triangles.
+
+    Triangles and loose edges are spanned by sorted vertex labels, their
+    top vertex often new, which grows trees and disks; an edge with
+    matching endpoints is reused half the time, which gives shared,
+    parallel and repeated faces and loops.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        nv = int(rng.integers(1, 3))
+        edges = []
+
+        def edge_for(a, b):
+            if rng.random() < 0.5 and (b, a) in edges:
+                return edges.index((b, a))
+            edges.append((b, a))  # faces of [a b]: d0 = b, d1 = a
+            return len(edges) - 1
+
+        def labels(n, fresh):
+            nonlocal nv
+            vs = [int(v) for v in rng.integers(0, nv, n)]
+            if rng.random() < fresh:
+                vs[-1], nv = nv, nv + 1
+            return sorted(vs)
+
+        tris = []
+        for _ in range(int(rng.integers(1, 5)) if k % 2 else 0):
+            a, b, c = labels(3, 0.8)
+            tris.append((edge_for(b, c), edge_for(a, c), edge_for(a, b)))
+        for _ in range(int(rng.integers(0, 4))):
+            edge_for(*labels(2, 0.5))
+        levels = (tuple(edges),) + ((tuple(tris),) if tris else ())
+        out.append(SemiSimplicialSet(nv, levels if edges else ()))
+    return out
+
+
+def _solid_tetrahedron():
+    """The 3-simplex: the tetrahedron boundary and the one solid filling it."""
+    t = make_tetrahedron_boundary()
+    return SemiSimplicialSet(4, t.faces + (((3, 2, 1, 0),),))
 
 
 def test_collapse_search_matches_the_rescan_reference():
+    # the greedy 2-core pass decides dimension <= 2 at any budget; where the
+    # search reference is conclusive it gives the same verdict and
+    # certificate, and the same state count where the reference did not
+    # back out of a state; the stuck state of its first descent is the 2-core
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
     complexes = [_subdivided(build(), level) for build in BUILTIN_COMPLEXES.values() for level in (0, 1, 2)]
-    complexes += [_wedge(make_duncehat(), make_single_2_simplex()),
-                  _wedge(make_duncehat(), barycentric_subdivision(make_single_2_simplex()))]
-    certified = 0
-    for x in complexes:
+    complexes += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex),
+                  _subdivided(_wedge(make_duncehat(), make_single_2_simplex()), 1),
+                  _wedge(make_duncehat(), sd_simplex, b_vertex=6), _tetrahedron_with_doubled_face(),
+                  _pinched_triangle(), _subdivided(_pinched_triangle(), 1), _digon_and_loop()]
+    randoms = _random_2_complexes(17, 600)
+    assert sum(x.dimension == 2 for x in randoms) > 250
+    certified = backtracked = 0
+    for k, x in enumerate(complexes + randoms):
         t = _as_tset(x)
         cells = frozenset((d, i) for d in range(t.dimension + 1) for i in range(t.count(d)))
         paths, table = _coface_paths(t), t.incidence
         faces = {table.cells[h]: Counter({table.cells[g]: m for g, m in row}) for h, row in enumerate(table.faces)}
         assert {h: row for h, row in faces.items() if h[0]} == paths
         assert free_faces(x) == _reference_free_pairs(paths, cells)
-        for budget in (1, 10, 100, 5_000):
-            res = is_collapsible(x, budget=budget)
-            assert res == _reference_collapse(x, budget), (x.counts(), budget)
-            if res.certificate is None:
-                continue
-            cert = res.certificate
-            assert replay_collapse(x, cert)
-            assert not replay_collapse(x, cert[1:])
+        res = is_collapsible(x, budget=5_000)
+        assert res.exhausted == (res.status == "non_collapsible")
+        ref, descent = _reference_collapse(x, 5_000)
+        assert ref.status != "inconclusive", x.counts()
+        assert (res.status, res.certificate) == (ref.status, ref.certificate), x.counts()
+        if ref.states_explored == len(descent):
+            assert res == replace(ref, core_counts=res.core_counts), x.counts()
+        else:
+            assert res.states_explored == len(descent) < ref.states_explored, x.counts()
+            backtracked += 1
+        if res.status == "non_collapsible":
+            core = Counter(d for d, _ in descent[-1])
+            assert res.core_counts == tuple(core[d] for d in range(t.dimension + 1)), x.counts()
+        for budget in (1, 10, 100):
+            assert is_collapsible(x, budget=budget) == res
+            small, _ = _reference_collapse(x, budget)
+            assert small.status in (res.status, "inconclusive")
+            if small.status != "inconclusive":
+                assert (small.certificate, small.states_explored) == (ref.certificate, ref.states_explored)
+        if not res.certificate:
+            continue  # a lone vertex has the empty certificate
+        cert = res.certificate
+        assert replay_collapse(x, cert)
+        assert not replay_collapse(x, cert[1:]) and not replay_collapse(x, cert[:-1])
+        if k < len(complexes):  # on a random path graph the ends may swap legally
             assert not replay_collapse(x, (cert[-1],) + cert[1:-1] + (cert[0],))
-            certified += 1
-    assert certified >= 3  # the 2-simplex at sd0-sd2, at budget 5,000 at least
+        certified += 1
+    assert certified >= 90 and backtracked >= 100
+
+
+def test_second_subdivisions_of_the_wedges_are_decided():
+    # past 200,000 states the search gave up on these; the 2-core pass
+    # strips the simplex's part and is left with the dunce hat's, which
+    # has no free face
+    core = _subdivided(make_duncehat(), 2).counts()
+    for b in (make_single_2_simplex(), barycentric_subdivision(make_single_2_simplex())):
+        x = _subdivided(_wedge(make_duncehat(), b), 2)
+        pairs = (sum(x.counts()) - sum(core)) // 2
+        want = CollapseResult("non_collapsible", None, pairs + 1, exhausted=True, core_counts=core)
+        assert is_collapsible(x, budget=1) == want
+
+
+def test_three_complexes_keep_the_budgeted_search():
+    solid = _solid_tetrahedron()
+    for x in (solid, _subdivided(solid, 1), _wedge(make_duncehat(), solid), _wedge(solid, make_duncehat())):
+        for budget in (1, 10, 100, 5_000):
+            ref, _ = _reference_collapse(x, budget)
+            assert is_collapsible(x, budget=budget) == ref, (x.counts(), budget)
+    assert is_collapsible(solid, budget=1).status == "inconclusive"
 
 
 def _dense_rank_and_torsion(matrix):
