@@ -118,7 +118,7 @@ def check_kulikov(tol: Tolerances) -> dict:
 
 def check_fiber_invariants(tol: Tolerances) -> dict:
     chi = nc.generic_fiber_euler(nc.duncehat_surface_description())
-    inv = nc.numerical_invariants(11, 0, 0)
+    inv = nc.numerical_invariants(chi, 0, 0)
     passed = chi == 11 and inv == {"h11": 9, "c1_sq": 1, "c2": 11}
     return _check(
         "generic fiber: euler characteristic 11, h11 = 9, c1^2 = 1, c2 = 11",

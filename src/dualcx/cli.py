@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     common.add_argument("--seed", type=int)
     common.add_argument("--budget", type=int,
-                        help="state budget of the Tietze search and of the collapse search, which runs in dimension >= 3 "
-                             "only (a 2-complex is decided by one greedy pass)")
+                        help="state budget of the Tietze search and of the collapse search, which backtracks in "
+                             "dimension >= 3 only (on a 2-complex it stops at its first dead end)")
     common.add_argument("--tol-root", type=float, help="root-finder backward error")
     common.add_argument("--tol-cluster", type=float, help="cluster radius for roots and divisors")
     common.add_argument("--tol-rank", type=float, help="relative singular-value floor for ranks")

@@ -468,20 +468,25 @@ def has_semisimplicial_lift(t: TriangulatedSet) -> bool:
     """
     t.validate()
     facets = [(d, i) for d in range(t.dimension + 1) for i in range(t.count(d))]
-    return _lift_search(t, facets, {}, 0)
-
-
-def _lift_search(t: TriangulatedSet, facets: list, orders: dict, pos: int) -> bool:
-    """Extend the slot orderings of ``facets[:pos]`` to all of ``facets``."""
-    if pos == len(facets):
-        return True
-    d, i = facets[pos]
-    for perm in permutations(range(d + 1)):
-        orders[(d, i)] = perm
-        if _order_preserving(t, orders, d, i) and _lift_search(t, facets, orders, pos + 1):
-            return True
-    del orders[(d, i)]
-    return False
+    orders: dict = {}
+    # depth first over ``facets``: one iterator over the slot orderings per
+    # level; ``orders`` holds the accepted ones in facet order
+    levels: list = []
+    while len(orders) < len(facets):
+        d, i = facets[len(orders)]
+        if len(levels) == len(orders):
+            levels.append(permutations(range(d + 1)))
+        for perm in levels[-1]:
+            orders[(d, i)] = perm
+            if _order_preserving(t, orders, d, i):
+                break
+        else:  # a resumed level may have no ordering left to try
+            orders.pop((d, i), None)
+            levels.pop()
+            if not orders:
+                return False
+            orders.popitem()
+    return True
 
 
 def _order_preserving(t: TriangulatedSet, orders: dict, d: int, i: int) -> bool:

@@ -146,7 +146,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 break
         # divisibility: fold a row with a non-multiple entry into the pivot row, redo
         p = A[t][t]
-        fold = next((i for i in range(t + 1, m) if any([x % p for x in A[i][t + 1 :]])), None)
+        fold = next((i for i in range(t + 1, m) if any(x % p for x in A[i][t + 1 :])), None)
         if fold is None:
             t += 1
         else:
@@ -372,10 +372,11 @@ class CollapseResult:
     status is 'collapsible', 'non_collapsible', or 'inconclusive';
     ``certificate`` is the ordered list of removed (free face, coface)
     pairs when status is 'collapsible'.  'non_collapsible' is reported
-    with ``exhausted`` set: in dimension at most 2 when the collapse got
-    stuck, above that only when the whole search space was enumerated
-    within budget.  ``core_counts`` holds the cell counts per dimension of
-    the stuck complex (the 2-core) in dimension at most 2, else None.
+    with ``exhausted`` set: in dimension at most 2 when the search's first
+    descent got stuck, above that only when the whole search space was
+    enumerated within budget.  ``core_counts`` holds the cell counts per
+    dimension of the stuck complex (the 2-core) in dimension at most 2,
+    else None.
     """
 
     status: str
@@ -388,101 +389,78 @@ class CollapseResult:
 def is_collapsible(x, budget: int = 100_000) -> CollapseResult:
     """Decide whether the complex collapses to a vertex.
 
-    Free pairs are taken in lexicographic order over the cells sorted by
-    (dim, id), so a certificate is the lexicographically least collapse
-    sequence.  Each cell's incidence from the other alive cells is kept in
-    a count list, updated for the two cells of every removed pair; only the
-    faces of the removed coface can become free.
+    One depth-first search removes free pairs in lexicographic order over
+    the cells sorted by (dim, id), so a certificate is the lexicographically
+    least collapse sequence.  Each cell's incidence from the other alive
+    cells is kept in a count list, updated for the two cells of every
+    removed pair; only the faces of the removed coface can become free.
 
-    In dimension at most 2 one greedy pass decides, at any budget: removals
-    only lower counts, so a free pair stays free until its coface goes and
-    the stuck complex (the 2-core) does not depend on the order, and a
-    graph collapses to a vertex exactly when it is a tree.  It explores one
-    state per removed pair, plus the stuck one.  In dimension 3 and up,
-    where deciding is NP-complete, a backtracking search with memoization
-    runs over the bitmasks of alive cells, 'inconclusive' past ``budget``
-    states.
+    In dimension at most 2 the search stops at its first dead end, which
+    decides at any budget: removals only lower counts, so a free pair stays
+    free until its coface goes and the stuck complex (the 2-core) does not
+    depend on the order, and a graph collapses to a vertex exactly when it
+    is a tree.  It explores one state per removed pair, plus the stuck one.
+    In dimension 3 and up, where deciding is NP-complete, it backtracks
+    with memoization over the bitmasks of alive cells, 'inconclusive' past
+    ``budget`` states.
     """
     if budget <= 0:
         raise BudgetError("collapse search needs a positive budget")
     t = _as_tset(x)
     table = t.incidence
-    full, count = (1 << len(table.cells)) - 1, table.counts()
-    free = table.free_pairs(full, count, range(len(count)))
-    if t.dimension <= 2:
-        cert, left = _greedy_collapse(table, full, count, free)
-        if not table.is_vertex(left):
-            core = Counter(table.cells[h][0] for h in range(len(table.cells)) if left >> h & 1)
-            return CollapseResult("non_collapsible", None, len(cert) + 1, exhausted=True,
-                                  core_counts=tuple(core[d] for d in range(t.dimension + 1)))
-        explored = len(cert)
-    else:
-        seen: set[int] = set()
-        cert = _collapse_search(table, full, count, free, seen, budget)
-        explored = len(seen)
-        if cert is None:
-            if explored > budget:
-                return CollapseResult("inconclusive", None, explored, exhausted=False)
-            return CollapseResult("non_collapsible", None, explored, exhausted=True)
+    backtrack = t.dimension > 2
+    cert, explored, left = _collapse_search(table, budget, backtrack)
     cells = table.cells
-    return CollapseResult("collapsible", tuple((cells[g], cells[f]) for g, f in cert), explored, exhausted=False)
+    if cert is not None:
+        return CollapseResult("collapsible", tuple((cells[g], cells[f]) for g, f in cert), explored, exhausted=False)
+    if not backtrack:
+        core = Counter(cells[h][0] for h in range(len(cells)) if left >> h & 1)
+        return CollapseResult("non_collapsible", None, explored, exhausted=True,
+                              core_counts=tuple(core[d] for d in range(t.dimension + 1)))
+    if explored > budget:
+        return CollapseResult("inconclusive", None, explored, exhausted=False)
+    return CollapseResult("non_collapsible", None, explored, exhausted=True)
 
 
-def _greedy_collapse(table: _Incidence, alive: int, count: list[int], free: list) -> tuple[list, int]:
-    """Remove the least free pair until a vertex is left or none is free.
+def _collapse_search(table: _Incidence, budget: int, backtrack: bool) -> tuple[list | None, int, int]:
+    """The least collapse sequence of index pairs to a vertex, the states explored, and the cells left.
 
-    Returns the removed index pairs and the cells left.  ``free`` is a heap
-    of the free pairs (a sorted list is one), updated as the search updates
-    its list.  A pair whose coface went with another face is dropped when
-    it surfaces; a pair whose coface is alive is still free, since its face
-    has no other coface to lose.
+    Depth first over an explicit stack of frames (alive cells, their free
+    pairs sorted by face, an iterator over the pairs not yet tried), with
+    the removed pairs as the path.  Each child's free pairs are derived
+    from its parent's by re-examining only the faces of the removed coface.
+    ``seen`` holds every non-vertex state entered, so its size is the
+    explored count, and a child already in it is skipped.  At a dead end
+    the search stops there unless ``backtrack``; then it restores the last
+    pair's counts and tries the next pair, and gives up past ``budget``
+    states.  The sequence is None when no vertex was reached.
     """
-    cert = []
+    alive, count = (1 << len(table.cells)) - 1, table.counts()
+    free = table.free_pairs(alive, count, range(len(count)))
+    seen: set[int] = set()
+    path, stack = [], []
     while not table.is_vertex(alive):
-        while free and not alive >> free[0][1] & 1:
-            heapq.heappop(free)
-        if not free:
-            break
-        g, f = heapq.heappop(free)
+        seen.add(alive)
+        if backtrack and len(seen) > budget:
+            return None, len(seen), alive
+        stack.append((alive, free, iter(free)))
+        while True:
+            alive, free, untried = stack[-1]
+            pair = next((p for p in untried if alive & ~(1 << p[0] | 1 << p[1]) not in seen), None)
+            if pair is not None:
+                break
+            if not backtrack or len(stack) == 1:
+                return None, len(seen), alive
+            stack.pop()
+            table.add(count, path.pop(), 1)
+        g, f = pair
         alive &= ~(1 << g | 1 << f)
-        table.add(count, (g, f), -1)
-        for pair in table.free_pairs(alive, count, [h for h, _ in table.faces[f]]):
-            heapq.heappush(free, pair)
-        cert.append((g, f))
-    return cert, alive
-
-
-def _collapse_search(table: _Incidence, alive: int, count: list[int], free: list, seen: set, budget: int):
-    """The least collapse sequence of index pairs from ``alive`` to a vertex, or None.
-
-    ``count`` holds the incidences from the alive cells and is the same on
-    return; ``free`` holds the state's free pairs by face, and each child's
-    is derived from it by re-examining only the faces of the removed coface.
-    ``seen`` holds every state entered so far, so its size is the explored
-    count; past ``budget`` states the search unwinds with None.
-    A state already in ``seen`` is skipped before its counts are updated,
-    so ``alive`` is never in ``seen`` on entry; a vertex is never added.
-    """
-    if table.is_vertex(alive):
-        return []
-    seen.add(alive)
-    if len(seen) > budget:
-        return None
-    for g, f in free:
-        rest = alive & ~(1 << g | 1 << f)
-        if rest in seen:
-            continue
-        table.add(count, (g, f), -1)
+        table.add(count, pair, -1)
         # a pair touching g or f has coface f (g's only coface, and maximal),
         # and only the faces of f changed count
-        after = [p for p in free if p[1] != f] + table.free_pairs(rest, count, [h for h, _ in table.faces[f]])
-        sub = _collapse_search(table, rest, count, sorted(after), seen, budget)
-        table.add(count, (g, f), 1)
-        if sub is not None:
-            return [(g, f)] + sub
-        if len(seen) > budget:
-            return None
-    return None
+        free = sorted([p for p in free if p[1] != f] + table.free_pairs(alive, count, [h for h, _ in table.faces[f]]))
+        path.append(pair)
+    return path, len(seen), alive
 
 
 def replay_collapse(x, certificate) -> bool:

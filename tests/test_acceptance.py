@@ -48,6 +48,13 @@ def test_criterion_05_fiber_invariants():
     _report(check)
 
 
+def test_criterion_05_derives_the_invariants_from_the_computed_euler(monkeypatch):
+    monkeypatch.setattr(accept.nc, "generic_fiber_euler", lambda desc: 12)
+    check = accept.check_fiber_invariants(DEFAULT_TOL)
+    assert not check["passed"] and check["euler"] == 12
+    assert check["invariants"] == {"h11": 10, "c1_sq": 0, "c2": 12}
+
+
 def test_criterion_06_pic_torus():
     t0 = time.time()
     check = accept.check_pic_torus(DEFAULT_TOL, n_graphs=50)

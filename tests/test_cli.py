@@ -6,7 +6,7 @@ import pytest
 
 from dualcx.cli import main
 from dualcx.ncgeom import builtin_surface
-from dualcx.simplicial import complex_from_json, make_single_2_simplex
+from dualcx.simplicial import SemiSimplicialSet, complex_from_json, make_single_2_simplex, make_tetrahedron_boundary
 from dualcx.topology import barycentric_subdivision, replay_collapse
 
 
@@ -53,19 +53,27 @@ def test_collapse_and_pi1(capsys, tmp_path):
     assert json.loads(out)["report"]["status"] == "unknown"
 
 
+def _subdivided(x, level):
+    for _ in range(level):
+        x = barycentric_subdivision(x)
+    return x
+
+
 def test_collapse_of_a_deep_collapsible_complex(capsys, tmp_path):
     # the 2-simplex's fourth subdivision (673/1968/1296 cells) needs 1968
-    # collapses, more than a recursive search has stack frames for
-    x = make_single_2_simplex()
-    for _ in range(4):
-        x = barycentric_subdivision(x)
-    path = tmp_path / "sd4.json"
-    path.write_text(json.dumps(x.to_json_dict()))
-    code, out, err = run(capsys, "topo", "collapse", str(path), "--json")
-    assert code == 0 and not err
-    rep = json.loads(out)["report"]
-    assert rep["status"] == "collapsible" and rep["states_explored"] == 1968 and "core_counts" not in rep
-    assert replay_collapse(complex_from_json(path.read_text()), rep["certificate"])
+    # collapses, and the solid 3-simplex's second (149/796/1224/576) needs
+    # 1372 states of the backtracking search, more than a recursive search
+    # has stack frames for
+    solid = SemiSimplicialSet(4, make_tetrahedron_boundary().faces + (((3, 2, 1, 0),),))
+    for name, x, states in (("sd4", _subdivided(make_single_2_simplex(), 4), 1968),
+                            ("solid-sd2", _subdivided(solid, 2), 1372)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(x.to_json_dict()))
+        code, out, err = run(capsys, "topo", "collapse", str(path), "--json")
+        assert code == 0 and not err, name
+        rep = json.loads(out)["report"]
+        assert rep["status"] == "collapsible" and rep["states_explored"] == states and "core_counts" not in rep
+        assert replay_collapse(complex_from_json(path.read_text()), rep["certificate"]), name
     # a stuck 2-complex reports the cells left, here all of the dunce hat
     code, out, _ = run(capsys, "topo", "collapse", "--builtin", "duncehat", "--json")
     rep = json.loads(out)["report"]

@@ -24,6 +24,7 @@ from dualcx.simplicial import (
     make_single_2_simplex,
     make_tetrahedron_boundary,
 )
+from dualcx.topology import barycentric_subdivision
 
 
 def test_duncehat_counts_and_euler():
@@ -40,6 +41,11 @@ def test_cyclic_triangle_counts_euler_and_no_lift():
     assert c.euler_characteristic() == 1
     assert not has_semisimplicial_lift(c)
     assert has_semisimplicial_lift(functor_p(make_duncehat()))
+    # 3937 facets, more than a recursive search has stack frames for
+    x = make_single_2_simplex()
+    for _ in range(4):
+        x = barycentric_subdivision(x)
+    assert has_semisimplicial_lift(functor_p(x))
 
 
 def test_functor_p_counts():

@@ -520,7 +520,7 @@ def test_isomorphism_rejects_equal_count_twins():
 
 def test_collapse_search_leaves_no_cyclic_garbage():
     # the explored-state memo must go with the call, not wait for the cycle
-    # collector; the search runs from dimension 3 up (385 states here)
+    # collector; the search backtracks from dimension 3 up (385 states here)
     x = _wedge(_wedge(make_duncehat(), make_single_2_simplex()), _solid_tetrahedron())
     gc.collect()
     gc.disable()
@@ -654,10 +654,10 @@ def _solid_tetrahedron():
 
 
 def test_collapse_search_matches_the_rescan_reference():
-    # the greedy 2-core pass decides dimension <= 2 at any budget; where the
-    # search reference is conclusive it gives the same verdict and
-    # certificate, and the same state count where the reference did not
-    # back out of a state; the stuck state of its first descent is the 2-core
+    # in dimension <= 2 the search stops at its first dead end, which decides
+    # at any budget; where the backtracking reference is conclusive it gives
+    # the same verdict and certificate, and the same state count where the
+    # reference did not back out of a state; the stuck state is the 2-core
     sd_simplex = barycentric_subdivision(make_single_2_simplex())
     complexes = [_subdivided(build(), level) for build in BUILTIN_COMPLEXES.values() for level in (0, 1, 2)]
     complexes += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex),
@@ -705,9 +705,9 @@ def test_collapse_search_matches_the_rescan_reference():
 
 
 def test_second_subdivisions_of_the_wedges_are_decided():
-    # past 200,000 states the search gave up on these; the 2-core pass
-    # strips the simplex's part and is left with the dunce hat's, which
-    # has no free face
+    # past 200,000 states a backtracking search gave up on these; the first
+    # descent strips the simplex's part and is left with the dunce hat's,
+    # which has no free face
     core = _subdivided(make_duncehat(), 2).counts()
     for b in (make_single_2_simplex(), barycentric_subdivision(make_single_2_simplex())):
         x = _subdivided(_wedge(make_duncehat(), b), 2)
