@@ -62,12 +62,12 @@ from .numerics import (
     Mobius,
     Poly,
     Tolerances,
+    _poly_roots_many,
     aberth_roots,
     chordal,
     is_inf,
     mobius_from_triple,
     poly_from_roots,
-    poly_roots,
 )
 
 # ---------------------------------------------------------------------------
@@ -522,8 +522,7 @@ def intersect(p: NodalCubic, q: NodalCubic, tol: Tolerances = DEFAULT_TOL) -> tu
     fp_on_q = p.f.compose_map(q.gamma).trim(rel=1e-12)
     if fq_on_p.degree != 9 or fp_on_q.degree != 9:
         raise GuardError("infinity-intersection", "an intersection point sits at the infinite parameter")
-    ts = poly_roots(fq_on_p, tol=tol.root_residual)
-    ss = poly_roots(fp_on_q, tol=tol.root_residual)
+    ts, ss = _poly_roots_many([fq_on_p, fp_on_q], tol=tol.root_residual)
     if any(m > 1 for _, m in ts) or any(m > 1 for _, m in ss) or len(ts) != 9 or len(ss) != 9:
         raise GuardError("tangency", "clustered intersection parameters (tangential pair)")
     pts_p = _images(p.gamma, [t for t, _ in ts])

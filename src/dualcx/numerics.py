@@ -17,6 +17,13 @@ Conventions fixed here and relied on everywhere else:
   certificate), and polished further otherwise.  Multiplicities are
   connected disk unions: k touching disks are one k-fold root.
   Non-convergence raises, it is never silent.
+* One kernel, :func:`_aberth_many`, runs the sweeps on a stack of
+  polynomials of one degree: one stacked eigensolve, one Horner pass per
+  sweep over the whole stack.  Each row leaves the stack at the sweep
+  where it would have returned alone, so every row has the bits of a
+  stack of one, and a single solve is exactly that.  Independent root
+  problems of mixed degrees go in one stack per degree, never padded; a
+  row that fails is returned in its place and raises where it is used.
 * All default tolerances live in :class:`Tolerances` and may be overridden
   per call.
 """
@@ -130,7 +137,12 @@ class Poly:
     def __call__(self, t: complex):
         if is_inf(t):
             raise ValidationError("evaluate the reversed polynomial for the infinite chart")
-        return complex(np.polynomial.polynomial.polyval(t, self.coef))
+        # Horner in polyval's own expression order, on Python scalars
+        c = self.coef.tolist()
+        acc = c[-1] + t * 0
+        for ck in reversed(c[:-1]):
+            acc = ck + acc * t
+        return complex(acc)
 
     def eval_many(self, ts) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(ts, dtype=complex), self.coef)
@@ -198,24 +210,27 @@ def _peel_zeros(p: Poly) -> tuple[int, Poly]:
     return k, Poly(q.coef[k:])
 
 
-def _disk_gaps(q: Poly, z: np.ndarray, qz: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _disk_gaps(lead, z: np.ndarray, qz: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Gaps ``|z_i - z_j| - r_i - r_j`` between the Weierstrass disks ``|z - z_i| <= r_i``.
 
-    ``r_i = n |q(z_i) / (a_n prod_{j != i} (z_i - z_j))|``.  A connected union
-    of k such disks holds exactly k roots (Bini & Fiorentino, Numer.
-    Algorithms 2000).  ``qz`` holds the values ``q(z_i)``; their moduli are
-    enlarged by the rounding bound of Horner's rule, ``4 n eps scale`` with
-    ``scale = sum |c_k| |z_i|^k``, so a residual that rounds to zero proves
-    nothing.  Only a positive gap proves two disks disjoint; an overflow
-    gives NaN, which does not.  The diagonal is 1.
+    ``r_i = n |q(z_i) / (a_n prod_{j != i} (z_i - z_j))|``, with ``lead`` the
+    modulus ``|a_n|``.  A connected union of k such disks holds exactly k
+    roots (Bini & Fiorentino, Numer. Algorithms 2000).  ``qz`` holds the
+    values ``q(z_i)``; their moduli are enlarged by the rounding bound of
+    Horner's rule, ``4 n eps scale`` with ``scale = sum |c_k| |z_i|^k``, so a
+    residual that rounds to zero proves nothing.  Only a positive gap proves
+    two disks disjoint; an overflow gives NaN, which does not.  The diagonal
+    is 1.  Leading axes of ``z``, ``qz`` and ``scale`` (and of ``lead``)
+    stack polynomials of one degree.
     """
-    n = q.degree
-    dist = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(dist, 1.0)
+    n = z.shape[-1]
+    diag = np.arange(n)
+    dist = np.abs(z[..., :, None] - z[..., None, :])
+    dist[..., diag, diag] = 1.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        radius = n * (np.abs(qz) + 4 * n * np.finfo(float).eps * scale) / (abs(q.coef[-1]) * np.prod(dist, axis=1))
-        gap = dist - radius[:, None] - radius[None, :]
-    np.fill_diagonal(gap, 1.0)
+        radius = n * (np.abs(qz) + 4 * n * np.finfo(float).eps * scale) / (np.asarray(lead)[..., None] * np.prod(dist, axis=-1))
+        gap = dist - radius[..., :, None] - radius[..., None, :]
+    gap[..., diag, diag] = 1.0
     return gap
 
 
@@ -231,72 +246,164 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     proven simple; otherwise clusters keep tightening until a step falls
     below ``1e-15`` relative or 48 polishing sweeps have run.  Without a
     certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
+    One call is a stack of one in :func:`_aberth_many`.
     """
     tol = DEFAULT_TOL.root_residual if tol is None else tol
     # exact zero roots peel off first; improves conditioning of the rest
     zero_mult, q = _peel_zeros(p)
-    roots = [0j] * zero_mult
-    return roots + _aberth(q, tol, max_iter)[0] if q.degree else roots
+    return [0j] * zero_mult + (_solved(_aberth_many([q], tol, max_iter)[0])[0] if q.degree else [])
 
 
-def _aberth(q: Poly, tol: float, max_iter: int) -> tuple[list[complex], bool]:
-    """The sweeps of :func:`aberth_roots` on the rest ``q`` of :func:`_peel_zeros`:
-    (approximants, proven simple), simple only when disjoint disks returned them."""
-    coef = q.coef
-    n = q.degree
-    an = coef[-1]
-    companion = np.diag(np.ones(n - 1, dtype=complex), -1)
-    companion[0] = -coef[-2::-1] / an
+def _solved(result):
+    """A result of :func:`_aberth_many` where it is used: its failure raises here."""
+    if isinstance(result, RootFindingError):
+        raise result
+    return result
+
+
+def _rest_solves(qs: list[Poly], tol: float) -> list:
+    """:func:`_aberth_many` on rests of :func:`_peel_zeros` of any degrees,
+    one batch per degree, the results in the order of ``qs``.  A rest of
+    degree 0 has no roots and needs no sweeps."""
+    out: list = [([], True)] * len(qs)
+    rows: dict[int, list[int]] = {}
+    for i, q in enumerate(qs):
+        if q.degree:
+            rows.setdefault(q.degree, []).append(i)
+    for idx in rows.values():
+        for i, result in zip(idx, _aberth_many([qs[i] for i in idx], tol, 400)):
+            out[i] = result
+    return out
+
+
+def _aberth_roots_many(ps: list[Poly], tol: float) -> list:
+    """:func:`aberth_roots` of every ``p`` (each of degree >= 1), the rests
+    solved in one batch per degree; a failed solve comes back in its place as
+    its :class:`RootFindingError`, unraised, and the other rows are untouched."""
+    peeled = [_peel_zeros(p) for p in ps]
+    return [
+        result if isinstance(result, RootFindingError) else [0j] * zero_mult + result[0]
+        for (zero_mult, _), result in zip(peeled, _rest_solves([q for _, q in peeled], tol))
+    ]
+
+
+def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
+    """The sweeps of :func:`aberth_roots` on a stack of rests ``qs`` of
+    :func:`_peel_zeros`, all of one degree n >= 1.
+
+    One stacked eigensolve starts every row, and each sweep is one Horner
+    pass over an ``(n + 1, m, 3)`` table: the coefficients of q, q' and |q|
+    of all m rows.  A row leaves the stack at the sweep where it would
+    return alone, by the same rule, so each row's bits are those of a stack
+    of one; the stack is compacted only when rows leave.  Per row the result
+    is (approximants, proven simple), simple only when disjoint disks
+    returned them, or that row's :class:`RootFindingError`, returned in its
+    place: a non-finite companion or a row that runs out of ``max_iter``
+    sweeps leaves the others as they are.  Mixed degrees are never padded:
+    padding reorders the repulsion sums.
+    """
+    n = qs[0].degree
+    coef = np.array([q.coef for q in qs])
+    an = coef[:, -1:]
+    diag = np.arange(n)
+    companion = np.zeros((len(qs), n, n), dtype=complex)
+    companion[:, diag[1:], diag[:-1]] = 1.0
+    companion[:, 0] = -coef[:, -2::-1] / an
+    # the stacked eigensolve raises for the whole stack: rows it cannot take
+    # (non-finite ones, or every row once LAPACK fails) are solved alone
+    out: list = [None] * len(qs)
+    finite = np.isfinite(companion[:, 0]).all(axis=1)
     try:
-        z = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"companion eigenvalues failed (degree {n}): {exc}") from exc
-    # Cauchy bound: the size of the kick that replaces a non-finite step
-    radius = 1.0 + float(np.max(np.abs(coef[:-1] / an)))
-    ks = np.arange(n)
+        if finite.all():
+            z, alone = np.linalg.eigvals(companion), []
+        else:
+            z, alone = np.empty((len(qs), n), dtype=complex), np.flatnonzero(~finite)
+            z[finite] = np.linalg.eigvals(companion[finite])
+    except np.linalg.LinAlgError:
+        z, alone = np.empty((len(qs), n), dtype=complex), range(len(qs))
+    for i in alone:
+        try:
+            z[i] = np.linalg.eigvals(companion[i])
+        except np.linalg.LinAlgError as exc:
+            out[i] = RootFindingError(f"companion eigenvalues failed (degree {n}): {exc}")
+    live = np.arange(len(qs))
+    if len(alone):
+        live = np.flatnonzero([result is None for result in out])
+        z, coef = z[live], coef[live]
+        if not live.size:
+            return out
+    # |a_n| by the scalar abs(), as the disk test has always taken it:
+    # np.abs on a complex array can differ from it in the last bit
+    lead = np.array([abs(a) for a in coef[:, -1]])
 
     # rows q, q' (its top coefficient 0) and |q|: one Horner pass over
     # (z, z, |z|) gives q(z), q'(z) and the backward-error scale
     # sum |c_k| |z|^k, term by term as polyval computes each of them
-    table = np.stack([coef, np.append(coef[1:] * np.arange(1, n + 1), 0), np.abs(coef)])[:, :, None]
-    scale_floor = np.max(np.abs(coef)) * 1e-30
-    polish = 0
+    coef_abs = np.abs(coef)
+    table = np.zeros((n + 1, len(live), 3, 1), dtype=complex)
+    table[:, :, 0, 0] = coef.T
+    table[:-1, :, 1, 0] = (coef[:, 1:] * np.arange(1, n + 1)).T
+    table[:, :, 2, 0] = coef_abs.T
+    scale_floor = coef_abs.max(axis=1, keepdims=True) * 1e-30
+    polish = np.zeros(len(live), dtype=int)
     for sweep in range(max_iter):
-        x = np.stack([z, z, np.abs(z)])
-        acc = table[:, n] + x * 0
+        x = np.stack([z, z, np.abs(z)], axis=1)
+        acc = table[n] + x * 0
         for k in range(n - 1, -1, -1):
-            acc = table[:, k] + acc * x
-        pz, dpz = acc[0], acc[1]
-        scale = np.maximum(acc[2].real, scale_floor)
-        converged = np.max(np.abs(pz) / scale) <= tol
-        if converged:
-            # eigenvalues carry the eigensolver's rounding (ulps off even for
-            # t^2 - 1): they are returned only after one Aberth step
-            if sweep and np.all(_disk_gaps(q, z, pz, scale) > 0):
-                return [complex(v) for v in z], True
-            # keep iterating a while: clusters around multiple roots tighten
-            # linearly after the backward-error target is already met
-            polish += 1
-            if polish > 48:
-                return [complex(v) for v in z], False
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+            acc = table[k] + acc * x
+        pz, dpz = acc[:, 0], acc[:, 1]
+        scale = np.maximum(acc[:, 2].real, scale_floor)
+        converged = (np.abs(pz) / scale).max(axis=1) <= tol
+        # keep iterating a while: clusters around multiple roots tighten
+        # linearly after the backward-error target is already met
+        polish += converged
+        # eigenvalues carry the eigensolver's rounding (ulps off even for
+        # t^2 - 1): they are returned only after one Aberth step
+        done = None
+        if sweep and converged.any():
+            simple = converged & (_disk_gaps(lead, z, pz, scale) > 0).all(axis=(1, 2))
+            done = simple | (polish > 48)
+            rows = np.flatnonzero(done).tolist()
+            for i in rows:
+                out[live[i]] = (z[i].tolist(), bool(simple[i]))
+            if len(rows) == len(live):
+                return out
+            done = done if rows else None
+        diff = z[:, :, None] - z[:, None, :]
+        diff[:, diag, diag] = 1.0
         # Newton correction with Aberth repulsion
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dpz != 0, pz / np.where(dpz == 0, 1, dpz), 0.1 + 0.1j)
             inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            s = inv.sum(axis=1)
+            inv[:, diag, diag] = 0.0
+            s = inv.sum(axis=2)
             denom = 1.0 - newton * s
             step = np.where(np.abs(denom) > 1e-300, newton / np.where(denom == 0, 1, denom), newton)
         bad = ~np.isfinite(step)
-        if np.any(bad):
-            step = np.where(bad, 0.1 * radius * np.exp(1j * ks), step)
+        if bad.any():
+            # Cauchy bound: the size of the kick that replaces a non-finite step
+            radius = 1.0 + np.abs(coef[:, :-1] / coef[:, -1:]).max(axis=1, keepdims=True)
+            step = np.where(bad, 0.1 * radius * np.exp(1j * diag), step)
         nz = z - step
-        if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
-            return [complex(v) for v in nz], False
+        if converged.any():
+            tiny = converged & ((np.abs(step) / (1.0 + np.abs(z))).max(axis=1) <= 1e-15)
+            if done is not None:
+                tiny &= ~done
+            rows = np.flatnonzero(tiny).tolist()
+            for i in rows:
+                out[live[i]] = (nz[i].tolist(), False)
+            if rows:
+                done = tiny if done is None else done | tiny
+                if done.all():
+                    return out
         z = nz
-    raise RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {n})")
+        if done is not None:
+            keep = ~done
+            table = table[:, keep]
+            z, live, lead, coef, scale_floor, polish = (a[keep] for a in (z, live, lead, coef, scale_floor, polish))
+    for i in live:
+        out[i] = RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {n})")
+    return out
 
 
 def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
@@ -308,20 +415,30 @@ def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
     k-fold root at the mean of their centres, and a disk that touches no
     other is a simple root at its approximant.  Roots the sweeps already
     proved simple by disjoint disks skip the second disk test: its scale
-    has no floor, so its gaps are no smaller.
+    has no floor, so its gaps are no smaller.  One call is a batch of one
+    in :func:`_poly_roots_many`.
     """
+    return _poly_roots_many([p], tol)[0]
+
+
+def _poly_roots_many(ps: list[Poly], tol: float | None = None) -> list[list[tuple[complex, int]]]:
+    """:func:`poly_roots` of every ``p``, the rests solved in one batch per
+    degree; the first failed solve, in the order of ``ps``, raises."""
     tol = DEFAULT_TOL.root_residual if tol is None else tol
-    zero_mult, q = _peel_zeros(p)
+    peeled = [_peel_zeros(p) for p in ps]
+    solves = _rest_solves([q for _, q in peeled], tol)
+    return [_multiset(zero_mult, q, *_solved(result)) for (zero_mult, q), result in zip(peeled, solves)]
+
+
+def _multiset(zero_mult: int, q: Poly, roots: list[complex], simple: bool) -> list[tuple[complex, int]]:
+    """The root multiset of :func:`poly_roots` from the sweeps' result on the rest ``q``."""
     out = [(0j, zero_mult)] if zero_mult else []
-    if q.degree == 0:
-        return out
-    roots, simple = _aberth(q, tol, 400)
     if simple:
         # + 0j is what a one-root group's mean does: -0.0 parts become 0.0
         return out + [(z + 0j, 1) for z in roots]
     z = np.asarray(roots)
     scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(q.coef))
-    reach = ~(_disk_gaps(q, z, q.eval_many(z), scale) > 0)
+    reach = ~(_disk_gaps(abs(q.coef[-1]), z, q.eval_many(z), scale) > 0)
     np.fill_diagonal(reach, True)
     # transitive closure of "touches" by repeated squaring: rows become groups
     for _ in range(len(z).bit_length()):

@@ -63,8 +63,10 @@ from .numerics import (
     Mobius,
     Poly,
     Tolerances,
+    _aberth_roots_many,
     _chordal_matrix,
-    aberth_roots,
+    _solved,
+    aberth_roots,  # not called here; bench/test_bench.py checks that the tracer rebinds this alias
     chordal,
     is_inf,
     numerical_rank,
@@ -262,14 +264,10 @@ def closed_form_data(c: Construct) -> tuple[JPoint, SBGValues, GluingTriple]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_div(p: Poly, tol: float) -> Divisor:
-    """Divisor of a polynomial as a rational function (infinity by degree)."""
-    q = p.trim()
-    pts: list[tuple[complex, int]] = []
-    if q.degree >= 1:
-        pts += [(z, 1) for z in aberth_roots(q, tol=tol)]
-    pts.append((INF, -q.degree))
-    return Divisor(pts)
+def _poly_div(q: Poly, roots) -> Divisor:
+    """Divisor of the trimmed polynomial ``q`` as a rational function
+    (infinity by degree), from its entry of :func:`_section_roots`."""
+    return Divisor([(z, 1) for z in _solved(roots)] + [(INF, -q.degree)])
 
 
 def _v_scale_divisor(cubic: NodalCubic) -> Divisor:
@@ -281,19 +279,18 @@ def _v_scale_divisor(cubic: NodalCubic) -> Divisor:
     return Divisor([(complex(root), 2), (INF, -2)])
 
 
-def _u_ratio_divisor(cubic: NodalCubic, tol: float) -> Divisor:
+def _u_ratio_divisor(cubic: NodalCubic, num: tuple, den: tuple) -> Divisor:
     """Divisor of the conormal scalar u = alpha(v): the reference conormal
     section beta = i_v Omega measured against the d f frame.
 
     u = V(t) (X'W - XW') / F_Y(gamma): numerically root-found numerator and
-    denominator; the vertical-tangent zeros shared by both cancel in the
-    merge, leaving the double flex zero and the two node-preimage poles.
+    denominator, each a (polynomial, roots) pair; the vertical-tangent zeros
+    shared by both cancel in the merge, leaving the double flex zero and the
+    two node-preimage poles.
     """
-    num = cubic.gamma.nx.trim()
-    den = _partial_composed(cubic.gamma, cubic.f, 1).trim()
-    if den.is_zero():
+    if den[0].is_zero():
         raise GuardError("chart-degenerate", "the y-partial vanishes along the curve")
-    return _v_scale_divisor(cubic) + _poly_div(num, tol) - _poly_div(den, tol)
+    return _v_scale_divisor(cubic) + _poly_div(*num) - _poly_div(*den)
 
 
 def _infinity_points(wdiv: Divisor) -> Divisor:
@@ -321,8 +318,28 @@ class DirectReport:
     values: tuple[complex, complex, complex]
 
 
-def _section_divisor(c: Construct, tol: Tolerances) -> tuple[Divisor, dict]:
-    """Full divisor of the uncorrected section scale times the conormal frame.
+def _section_polys(c: Construct) -> list[Poly]:
+    """The eight polynomials whose divisors :func:`_section_divisor` takes,
+    trimmed, in the order it takes them: w of P and of Q, f_Q on P and f_P
+    on Q, then the numerator X'W - XW' and the y-partial of u on P and on Q.
+    Their degrees after the exact zero roots are 3, 3, 9, 9, 4, 6, 4, 6."""
+    polys = [c.p.gamma.w, c.q.gamma.w, c.q.f.compose_map(c.p.gamma), c.p.f.compose_map(c.q.gamma)]
+    for cubic in (c.p, c.q):
+        polys += [cubic.gamma.nx, _partial_composed(cubic.gamma, cubic.f, 1)]
+    return [p.trim() for p in polys]
+
+
+def _section_roots(polys: list[Poly], tol: float) -> list:
+    """The roots of every polynomial of :func:`_section_polys`, for any
+    number of constructs at once: one Aberth batch per degree.  A failed
+    solve stays in its entry, raised only where that divisor is taken."""
+    found = iter(_aberth_roots_many([q for q in polys if q.degree >= 1], tol))
+    return [next(found) if q.degree >= 1 else [] for q in polys]
+
+
+def _section_divisor(c: Construct, tol: Tolerances, polys: list[Poly], roots: list) -> tuple[Divisor, dict]:
+    """Full divisor of the uncorrected section scale times the conormal frame,
+    from the construct's :func:`_section_polys` and their roots.
 
     Pieces, all on the P parameter line (Q-side pieces pulled back through
     the identification):
@@ -334,7 +351,7 @@ def _section_divisor(c: Construct, tol: Tolerances) -> tuple[Divisor, dict]:
       points, and one zero per blown-up point (the eight non-chosen
       intersections and b on the P side, the eight on the Q side).
     """
-    rt = tol.root_residual
+    w_p, w_q, fq_on_p, fp_on_q, num_p, den_p, num_q, den_q = zip(polys, roots)
     tau_p = c.p.tau
     inv_tau = tau_p.inverse()
     t_psi = inv_tau(1.0)
@@ -345,15 +362,13 @@ def _section_divisor(c: Construct, tol: Tolerances) -> tuple[Divisor, dict]:
     pieces["sb"] = Divisor([(t_psi, 1), (c.b_param, -1)])
     pieces["g"] = Divisor([(c.t_p3, 1), (c.t_p2, 1), (t_psi, -2)])
 
-    fq_on_p = c.q.f.compose_map(c.p.gamma)
-    fp_on_q = c.p.f.compose_map(c.q.gamma)
-    wdiv_p = _poly_div(c.p.gamma.w, rt)
-    wdiv_q = _poly_div(c.q.gamma.w, rt)
-    pieces["inv_fq_on_p"] = -(_poly_div(fq_on_p, rt) - wdiv_p.scaled(3))
-    pieces["inv_fp_on_q_pulled"] = -_phi_pullback(_poly_div(fp_on_q, rt) - wdiv_q.scaled(3), c.phi)
+    wdiv_p = _poly_div(*w_p)
+    wdiv_q = _poly_div(*w_q)
+    pieces["inv_fq_on_p"] = -(_poly_div(*fq_on_p) - wdiv_p.scaled(3))
+    pieces["inv_fp_on_q_pulled"] = -_phi_pullback(_poly_div(*fp_on_q) - wdiv_q.scaled(3), c.phi)
 
-    pieces["conormal_p"] = _u_ratio_divisor(c.p, rt)
-    pieces["conormal_q_pulled"] = _phi_pullback(_u_ratio_divisor(c.q, rt), c.phi)
+    pieces["conormal_p"] = _u_ratio_divisor(c.p, num_p, den_p)
+    pieces["conormal_q_pulled"] = _phi_pullback(_u_ratio_divisor(c.q, num_q, den_q), c.phi)
 
     frame_p = Divisor([(c.t_p1, 1), (c.t_p2, 1), (c.b_param, 1)])
     frame_p = frame_p + Divisor([(t, 1) for k, (t, _) in enumerate(c.intersections) if k != c.n_index])
@@ -429,16 +444,36 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     the clustered divisor and again by local scaling of the evaluated
     scale function), and the final derivative values must be finite and
     nonzero.  A construct runs the pipeline once per ``tol``; a rejection
-    is not kept, so a repeated call raises again.
+    is not kept, so a repeated call raises again.  One call is a family of
+    one in :func:`_direct_pipelines`: its eight root problems go through
+    four Aberth batches of one or two rows, one per degree.
     """
-    memo = c.direct_pipelines
-    if tol not in memo:
-        memo[tol] = _direct_pipeline(c, tol)
-    return memo[tol]
+    return next(_direct_pipelines([c], tol))
 
 
-def _direct_pipeline(c: Construct, tol: Tolerances) -> tuple[JPoint, DirectReport, GluingTriple]:
-    total, pieces = _section_divisor(c, tol)
+def _direct_pipelines(constructs: list[Construct], tol: Tolerances):
+    """:func:`direct_pipeline_data` of each construct in turn.
+
+    The pipeline runs in three steps: gather each construct's
+    :func:`_section_polys`, solve them all together grouped by degree
+    (:func:`_section_roots`), then assemble each construct's divisors and
+    values in order.  Constructs that already hold a result for ``tol`` are
+    skipped.  The first construct whose pipeline fails raises when its turn
+    comes, so earlier ones are memoized as their own calls would be, and a
+    failed solve raises in its own construct only.
+    """
+    polys = [None if tol in c.direct_pipelines else _section_polys(c) for c in constructs]
+    found = iter(_section_roots([q for qs in polys if qs for q in qs], tol.root_residual))
+    for c, qs in zip(constructs, polys):
+        roots = [next(found) for _ in qs or ()]
+        memo = c.direct_pipelines
+        if tol not in memo:
+            memo[tol] = _direct_pipeline(c, tol, qs, roots)
+        yield memo[tol]
+
+
+def _direct_pipeline(c: Construct, tol: Tolerances, polys: list[Poly], roots: list) -> tuple[JPoint, DirectReport, GluingTriple]:
+    total, pieces = _section_divisor(c, tol, polys, roots)
     if total.degree() != 3:
         raise GuardError("divisor-imbalance", f"section divisor has degree {total.degree()}, expected 3")
     marks = list(c.marks_p())
@@ -503,7 +538,10 @@ def consistency_check(constructs: list[Construct], tol: Tolerances = DEFAULT_TOL
 
     All members must share (n_p, n_q) to within MARKS_DRIFT_TOL; the
     report carries the maximal relative deviation of the ratio pair
-    against the first member.
+    against the first member.  The members' direct pipelines solve their
+    root problems together, one Aberth batch per degree (four batches of
+    ten rows for a family of five); a member that fails raises in its turn,
+    after the members before it are memoized.
     """
     if not constructs:
         raise ValidationError("empty family")
@@ -512,8 +550,7 @@ def consistency_check(constructs: list[Construct], tol: Tolerances = DEFAULT_TOL
         if chordal(member.n_p, base.n_p) > MARKS_DRIFT_TOL or chordal(member.n_q, base.n_q) > MARKS_DRIFT_TOL:
             raise GuardError("marks-drift", "family members have drifting (n_p, n_q)")
     ratios = []
-    for member in constructs:
-        jd, _, _ = direct_pipeline_data(member, tol)
+    for member, (jd, _, _) in zip(constructs, _direct_pipelines(constructs, tol)):
         jc = closed_form_data(member)[0]
         ratios.append(jd.ratio(jc))
     base_ratio = ratios[0]

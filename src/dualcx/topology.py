@@ -429,28 +429,36 @@ def _collapse_search(table: _Incidence, budget: int, backtrack: bool) -> tuple[l
     pairs sorted by face, an iterator over the pairs not yet tried), with
     the removed pairs as the path.  Each child's free pairs are derived
     from its parent's by re-examining only the faces of the removed coface.
-    ``seen`` holds every non-vertex state entered, so its size is the
-    explored count, and a child already in it is skipped.  At a dead end
-    the search stops there unless ``backtrack``; then it restores the last
-    pair's counts and tries the next pair, and gives up past ``budget``
-    states.  The sequence is None when no vertex was reached.
+    Every state entered is counted.  At a dead end the search stops there
+    unless ``backtrack``, and without it the child replaces its parent's
+    frame and nothing is remembered: a strictly shrinking descent cannot
+    revisit a state.  With it, ``seen`` holds every non-vertex state
+    entered (so its size is the count), a child already in it is skipped,
+    and a dead end restores the last pair's counts and tries the next pair;
+    the search gives up past ``budget`` states.  The sequence is None when
+    no vertex was reached.
     """
     alive, count = (1 << len(table.cells)) - 1, table.counts()
     free = table.free_pairs(alive, count, range(len(count)))
     seen: set[int] = set()
+    explored = 0
     path, stack = [], []
     while not table.is_vertex(alive):
-        seen.add(alive)
-        if backtrack and len(seen) > budget:
-            return None, len(seen), alive
-        stack.append((alive, free, iter(free)))
+        explored += 1
+        if backtrack:
+            seen.add(alive)
+            if explored > budget:
+                return None, explored, alive
+            stack.append((alive, free, iter(free)))
+        else:
+            stack[-1:] = [(alive, free, iter(free))]
         while True:
             alive, free, untried = stack[-1]
             pair = next((p for p in untried if alive & ~(1 << p[0] | 1 << p[1]) not in seen), None)
             if pair is not None:
                 break
             if not backtrack or len(stack) == 1:
-                return None, len(seen), alive
+                return None, explored, alive
             stack.pop()
             table.add(count, path.pop(), 1)
         g, f = pair
@@ -460,7 +468,7 @@ def _collapse_search(table: _Incidence, budget: int, backtrack: bool) -> tuple[l
         # and only the faces of f changed count
         free = sorted([p for p in free if p[1] != f] + table.free_pairs(alive, count, [h for h, _ in table.faces[f]]))
         path.append(pair)
-    return path, len(seen), alive
+    return path, explored, alive
 
 
 def replay_collapse(x, certificate) -> bool:

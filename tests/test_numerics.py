@@ -11,7 +11,9 @@ from dualcx.numerics import (
     Divisor,
     Mobius,
     Poly,
+    _aberth_many,
     _disk_gaps,
+    _multiset,
     _peel_zeros,
     aberth_roots,
     chordal,
@@ -26,6 +28,24 @@ from dualcx.numerics import (
 
 def sorted_roots(pairs):
     return sorted(((round(z.real, 6), round(z.imag, 6)), m) for z, m in pairs)
+
+
+def test_one_point_evaluation_is_polyval_bitwise():
+    # Horner on Python scalars in polyval's order: signed zeros, real and
+    # integer points and numpy scalars give polyval's very bits
+    rng = np.random.default_rng(17)
+    for k in range(3000):
+        n = int(rng.integers(0, 10))
+        coef = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-3, 4, n + 1) + 1j * rng.standard_normal(n + 1)
+        if k % 3 == 0:
+            coef = coef.real + 0j
+        if k % 5 == 0:
+            coef[rng.random(n + 1) < 0.4] = complex(-0.0, -0.0)
+        p = Poly(coef)
+        x = complex(*rng.standard_normal(2))
+        for t in (x, x.real, -x.real, int(rng.integers(-4, 5)), np.complex128(x), np.float64(x.imag), 0j, -0j):
+            want = complex(np.polynomial.polynomial.polyval(t, p.coef))
+            assert np.array(p(t)).tobytes() == np.array(want).tobytes(), (coef, t)
 
 
 def test_cube_roots_of_unity():
@@ -126,8 +146,12 @@ def test_seeded_multiplicities_come_back_exactly(seed, scale):
             assert dist < 1e-3 and mult == m
 
 
-def _reference_aberth_roots(p):
-    """The Aberth loop with three polyval calls per sweep: the kernel's oracle."""
+def _reference_aberth_roots(p, how=None):
+    """The Aberth loop with three polyval calls per sweep: the kernel's oracle.
+
+    ``how``, a dict, receives the sweep and the rule the loop returned by
+    ("simple", "polish" or "step")."""
+    how = {} if how is None else how
     tol = DEFAULT_TOL.root_residual
     zero_mult, q = _peel_zeros(p)
     roots = [0j] * zero_mult
@@ -150,10 +174,12 @@ def _reference_aberth_roots(p):
         scale = np.maximum(np.polynomial.polynomial.polyval(np.abs(z), coef_abs), scale_floor)
         converged = np.max(np.abs(pz) / scale) <= tol
         if converged:
-            if sweep and np.all(_disk_gaps(q, z, pz, scale) > 0):
+            if sweep and np.all(_disk_gaps(abs(q.coef[-1]), z, pz, scale) > 0):
+                how.update(exit=("simple", sweep))
                 return roots + [complex(v) for v in z]
             polish += 1
             if polish > 48:
+                how.update(exit=("polish", sweep))
                 return roots + [complex(v) for v in z]
         dpz = dq.eval_many(z)
         diff = z[:, None] - z[None, :]
@@ -170,6 +196,7 @@ def _reference_aberth_roots(p):
             step = np.where(bad, 0.1 * radius * np.exp(1j * ks), step)
         nz = z - step
         if converged and np.max(np.abs(step) / (1.0 + np.abs(z))) <= 1e-15:
+            how.update(exit=("step", sweep))
             return roots + [complex(v) for v in nz]
         z = nz
     raise RootFindingError("reference did not converge")
@@ -184,7 +211,7 @@ def _reference_poly_roots(p, roots):
     if not z.size:
         return out
     scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(q.coef))
-    reach = ~(_disk_gaps(q, z, q.eval_many(z), scale) > 0)
+    reach = ~(_disk_gaps(abs(q.coef[-1]), z, q.eval_many(z), scale) > 0)
     np.fill_diagonal(reach, True)
     for _ in range(len(z).bit_length()):
         reach = reach @ reach
@@ -193,10 +220,10 @@ def _reference_poly_roots(p, roots):
     return out
 
 
-def _matches_reference(p):
+def _matches_reference(p, how=None):
     """``poly_roots(p)``, after asserting it and ``aberth_roots(p)`` bitwise
-    equal to the references."""
-    want = _reference_aberth_roots(p)
+    equal to the references (``how`` as for the root reference)."""
+    want = _reference_aberth_roots(p, how)
     assert np.array(aberth_roots(p)).tobytes() == np.array(want).tobytes()
     got, ref = poly_roots(p), _reference_poly_roots(p, want)
     assert [m for _, m in got] == [m for _, m in ref]
@@ -209,6 +236,7 @@ def test_root_finders_match_the_three_polyval_reference_bitwise():
     # zero roots, multiple roots, and the degree-9 intersection polynomials
     rng = np.random.default_rng(41)
     multiple = 0
+    by_degree = {}
     for k in range(3000):
         n = int(rng.integers(1, 13))
         if k % 30 == 0:
@@ -223,8 +251,30 @@ def test_root_finders_match_the_three_polyval_reference_bitwise():
             if k % 7 == 0:
                 coef[: int(rng.integers(1, n + 1))] = 0
             p = Poly(coef)
-        multiple += any(m > 1 for _, m in _matches_reference(p))
+        how = {}
+        multiple += any(m > 1 for _, m in _matches_reference(p, how))
+        zero_mult, q = _peel_zeros(p)
+        if q.degree:
+            by_degree.setdefault(q.degree, []).append((p, zero_mult, q, how))
     assert multiple >= 100
+    # the same rests in stacks of up to 16 rows of one degree: each row is
+    # its reference, whichever sweep and rule it left the stack by
+    mixed = set()
+    for rows in by_degree.values():
+        for i in range(0, len(rows), 16):
+            stack = rows[i:i + 16]
+            results = _aberth_many([q for _, _, q, _ in stack], DEFAULT_TOL.root_residual, 400)
+            for (p, zero_mult, q, how), (roots, simple) in zip(stack, results):
+                want = _reference_aberth_roots(p)
+                assert np.array([0j] * zero_mult + roots).tobytes() == np.array(want).tobytes()
+                assert simple == (how["exit"][0] == "simple")
+                got, ref = _multiset(zero_mult, q, roots, simple), _reference_poly_roots(p, want)
+                assert [m for _, m in got] == [m for _, m in ref]
+                assert np.array([z for z, _ in got]).tobytes() == np.array([z for z, _ in ref]).tobytes()
+            exits = {how["exit"] for _, _, _, how in stack}
+            if len({sweep for _, sweep in exits}) > 1:
+                mixed |= {rule for rule, _ in exits}
+    assert mixed == {"simple", "polish", "step"}
     for seed in range(60):
         c = random_construct(seed)
         assert len(_matches_reference(c.q.f.compose_map(c.p.gamma).trim(rel=1e-12))) == 9
@@ -239,6 +289,38 @@ def test_exact_zero_roots_come_back_as_one_root():
 def test_failed_eigensolve_is_loud():
     with pytest.raises(RootFindingError):
         aberth_roots(Poly([float("nan"), 1.0]))
+
+
+def test_a_failed_row_leaves_the_rest_of_its_stack_alone(monkeypatch):
+    # a non-finite companion and a triple root still polishing after six
+    # sweeps fail in their own rows; the others are their solo solves
+    rng = np.random.default_rng(8)
+    good = [Poly(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(3)]
+    stack = [good[0], Poly([float("nan"), 1.0, 1.0, 1.0]), good[1], poly_from_roots([0.5 + 1j] * 3), good[2]]
+    tol = DEFAULT_TOL.root_residual
+    alone = [_aberth_many([q], tol, 6)[0] for q in stack]
+    together = _aberth_many(stack, tol, 6)
+    # LAPACK failing on the stacked call: every row is then solved alone
+    eigvals = np.linalg.eigvals
+
+    def stack_refused(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("stack refused for the test")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", stack_refused)
+    refused = _aberth_many(stack, tol, 6)
+    monkeypatch.undo()
+    for results in (together, refused):
+        nan_row, slow_row = results[1], results[3]
+        assert isinstance(nan_row, RootFindingError) and "companion eigenvalues failed (degree 3)" in str(nan_row)
+        assert isinstance(slow_row, RootFindingError) and "within 6 iterations (degree 3)" in str(slow_row)
+        for i in (0, 2, 4):
+            roots, simple = results[i]
+            assert (roots, simple) == alone[i]
+            assert np.array(roots).tobytes() == np.array(_reference_aberth_roots(stack[i])).tobytes()
+    with pytest.raises(RootFindingError, match="within 6 iterations"):
+        aberth_roots(stack[3], max_iter=6)
 
 
 def test_nonconvergence_is_loud():

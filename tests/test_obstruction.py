@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from dualcx.errors import GuardError, ValidationError
-from dualcx.numerics import DEFAULT_TOL, chordal, finite_diff_jacobian
+from dualcx.errors import GuardError, RootFindingError, ValidationError
+from dualcx.numerics import DEFAULT_TOL, Poly, chordal, finite_diff_jacobian
 from dualcx.cubics import (
     AffineMapPlane,
     affine_direction,
@@ -157,7 +157,7 @@ def test_direct_pipeline_runs_once_per_construct_and_tolerances(monkeypatch):
     c = random_construct(3)
     calls = []
     section = obstruction._section_divisor
-    monkeypatch.setattr(obstruction, "_section_divisor", lambda c, tol: calls.append(tol) or section(c, tol))
+    monkeypatch.setattr(obstruction, "_section_divisor", lambda c, tol, *solved: calls.append(tol) or section(c, tol, *solved))
     first = direct_pipeline_data(c)
     again = direct_pipeline_data(c, DEFAULT_TOL)
     assert len(calls) == 1 and all(a is b for a, b in zip(first, again))
@@ -174,7 +174,7 @@ def test_direct_pipeline_rejection_is_not_kept(monkeypatch):
     c = random_construct(3)
     calls = []
 
-    def reject(c, tol):
+    def reject(c, tol, *solved):
         calls.append(tol)
         raise GuardError("divisor-imbalance", "rejected for the test")
 
@@ -185,6 +185,42 @@ def test_direct_pipeline_rejection_is_not_kept(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert direct_pipeline_data(c) == direct_pipeline_data(dataclasses.replace(c))
+
+
+def test_a_failing_member_raises_in_its_turn_and_leaves_the_others_alone(monkeypatch):
+    # the members' root problems share their Aberth stacks; a non-finite
+    # polynomial in member 3 fails only where member 3 takes its divisor, and
+    # a vanishing y-partial in member 2 is still the first error raised
+    fam = seeded_family(101, 5)
+    section_polys = obstruction._section_polys
+    breaks = {}
+
+    def broken(c):
+        polys = section_polys(c)
+        for k, q in breaks.get(id(c), ()):
+            polys[k] = q
+        return polys
+
+    monkeypatch.setattr(obstruction, "_section_polys", broken)
+    nan_w = (0, Poly([float("nan"), 1.0, 1.0, 1.0]))
+    zero_den = (5, Poly([0.0]))
+    for plan, error, first in (({3: [nan_w]}, RootFindingError, 3), ({2: [zero_den], 3: [nan_w]}, GuardError, 2)):
+        together, alone = ([dataclasses.replace(c) for c in fam] for _ in range(2))
+        breaks.clear()
+        for i, fix in plan.items():
+            breaks[id(together[i])] = breaks[id(alone[i])] = fix
+        with pytest.raises(error) as raised:
+            consistency_check(together)
+        with pytest.raises(error) as one_by_one:
+            for c in alone:
+                direct_pipeline_data(c)
+        assert str(raised.value) == str(one_by_one.value)
+        assert error is GuardError or "companion eigenvalues failed" in str(raised.value)
+        assert getattr(raised.value, "reason", None) == getattr(one_by_one.value, "reason", None)
+        for i, c in enumerate(together):
+            assert (DEFAULT_TOL in c.direct_pipelines) == (i < first)
+            if i < first:
+                assert c.direct_pipelines[DEFAULT_TOL] == direct_pipeline_data(dataclasses.replace(fam[i]))
 
 
 def test_direct_matches_rows_times_correction():

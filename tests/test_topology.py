@@ -1,6 +1,7 @@
 """Homology, Smith form, collapsibility, presentations, subdivision."""
 
 import gc
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -714,6 +715,22 @@ def test_second_subdivisions_of_the_wedges_are_decided():
         pairs = (sum(x.counts()) - sum(core)) // 2
         want = CollapseResult("non_collapsible", None, pairs + 1, exhausted=True, core_counts=core)
         assert is_collapsible(x, budget=1) == want
+
+
+def test_the_descent_without_backtracking_keeps_one_frame():
+    # below dimension 3 no frame is resumed: each child replaces its
+    # parent's frame and no state is remembered (keeping every ancestor
+    # frame and every state takes about 2.1 MB here)
+    x = _subdivided(make_single_2_simplex(), 4)
+    assert is_collapsible(x).states_explored == 1968  # warm-up
+    tracemalloc.start()
+    try:
+        result = is_collapsible(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "collapsible" and result.states_explored == 1968
+    assert peak < 0.5 * 2**20
 
 
 def test_three_complexes_keep_the_budgeted_search():
