@@ -248,6 +248,8 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
             "residual_divisor_orders": list(rep.mark_orders),
         }, True
     if args.obs_cmd == "consistency":
+        if args.family_size < 2:
+            raise UsageError(f"--family-size must be at least 2, got {args.family_size}")
         fam = obstruction.seeded_family(args.seed, args.family_size, tol)
         rep = obstruction.consistency_check(fam, tol)
         passed = rep.deviation <= args.tol
@@ -271,6 +273,8 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
             "full_rank": jr.rank == 4,
         }, jr.rank == 4
     if args.obs_cmd == "scan":
+        if args.targets < 1:
+            raise UsageError(f"--targets must be at least 1, got {args.targets}")
         rep = obstruction.surjectivity_scan(args.seed, n_targets=args.targets, tol=args.tol, tolerances=tol)
         return {
             "seed": args.seed,
@@ -393,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     tol = _tolerances(args)
     started = time.time()
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.tool == "topo":
             report, ok = cmd_topo(args)
         elif args.tool == "nc":

@@ -17,13 +17,14 @@ Conventions fixed here and relied on everywhere else:
   certificate), and polished further otherwise.  Multiplicities are
   connected disk unions: k touching disks are one k-fold root.
   Non-convergence raises, it is never silent.
-* One kernel, :func:`_aberth_many`, runs the sweeps on a stack of
-  polynomials of one degree: one stacked eigensolve, one Horner pass per
-  sweep over the whole stack.  Each row leaves the stack at the sweep
-  where it would have returned alone, so every row has the bits of a
-  stack of one, and a single solve is exactly that.  Independent root
-  problems of mixed degrees go in one stack per degree, never padded; a
-  row that fails is returned in its place and raises where it is used.
+* Every root solve goes through one batch entry, :func:`_solves`: it
+  peels off each polynomial's exact zero roots and hands the rests to one
+  kernel, :func:`_aberth_many`, in one stack per degree, never padded.
+  The kernel runs the sweeps with one stacked eigensolve and one Horner
+  pass per sweep over the whole stack.  Each row leaves the stack at the
+  sweep where it would have returned alone, so every row has the bits of
+  a stack of one, and a single solve is exactly that.  A solve that fails
+  is returned in its place and raises where it is used.
 * All default tolerances live in :class:`Tolerances` and may be overridden
   per call.
 """
@@ -246,45 +247,37 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     proven simple; otherwise clusters keep tightening until a step falls
     below ``1e-15`` relative or 48 polishing sweeps have run.  Without a
     certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
-    One call is a stack of one in :func:`_aberth_many`.
+    One call is a batch of one in :func:`_solves`.
     """
-    tol = DEFAULT_TOL.root_residual if tol is None else tol
-    # exact zero roots peel off first; improves conditioning of the rest
-    zero_mult, q = _peel_zeros(p)
-    return [0j] * zero_mult + (_solved(_aberth_many([q], tol, max_iter)[0])[0] if q.degree else [])
+    zero_mult, _, roots, _ = _solved(_solves([p], tol, max_iter)[0])
+    return [0j] * zero_mult + roots
 
 
 def _solved(result):
-    """A result of :func:`_aberth_many` where it is used: its failure raises here."""
+    """A result of :func:`_solves` where it is used: its failure raises here."""
     if isinstance(result, RootFindingError):
         raise result
     return result
 
 
-def _rest_solves(qs: list[Poly], tol: float) -> list:
-    """:func:`_aberth_many` on rests of :func:`_peel_zeros` of any degrees,
-    one batch per degree, the results in the order of ``qs``.  A rest of
-    degree 0 has no roots and needs no sweeps."""
-    out: list = [([], True)] * len(qs)
+def _solves(ps: list[Poly], tol: float | None, max_iter: int) -> list:
+    """The one entry to the root finder: every ``p`` (of degree >= 1) solved
+    at once.  Exact zero roots peel off first (:func:`_peel_zeros`), which
+    improves the conditioning of the rest; the rests go through one
+    :func:`_aberth_many` stack per degree, and a rest of degree 0 needs no
+    sweeps.  Per ``p``, in order, the result is (zero count, rest,
+    approximants, proven simple), or that solve's :class:`RootFindingError`,
+    unraised, while the others are untouched."""
+    tol = DEFAULT_TOL.root_residual if tol is None else tol
+    out: list = [(*_peel_zeros(p), [], True) for p in ps]
     rows: dict[int, list[int]] = {}
-    for i, q in enumerate(qs):
+    for i, (_, q, _, _) in enumerate(out):
         if q.degree:
             rows.setdefault(q.degree, []).append(i)
     for idx in rows.values():
-        for i, result in zip(idx, _aberth_many([qs[i] for i in idx], tol, 400)):
-            out[i] = result
+        for i, result in zip(idx, _aberth_many([out[i][1] for i in idx], tol, max_iter)):
+            out[i] = result if isinstance(result, RootFindingError) else out[i][:2] + result
     return out
-
-
-def _aberth_roots_many(ps: list[Poly], tol: float) -> list:
-    """:func:`aberth_roots` of every ``p`` (each of degree >= 1), the rests
-    solved in one batch per degree; a failed solve comes back in its place as
-    its :class:`RootFindingError`, unraised, and the other rows are untouched."""
-    peeled = [_peel_zeros(p) for p in ps]
-    return [
-        result if isinstance(result, RootFindingError) else [0j] * zero_mult + result[0]
-        for (zero_mult, _), result in zip(peeled, _rest_solves([q for _, q in peeled], tol))
-    ]
 
 
 def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
@@ -309,29 +302,18 @@ def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
     companion = np.zeros((len(qs), n, n), dtype=complex)
     companion[:, diag[1:], diag[:-1]] = 1.0
     companion[:, 0] = -coef[:, -2::-1] / an
-    # the stacked eigensolve raises for the whole stack: rows it cannot take
-    # (non-finite ones, or every row once LAPACK fails) are solved alone
     out: list = [None] * len(qs)
-    finite = np.isfinite(companion[:, 0]).all(axis=1)
     try:
-        if finite.all():
-            z, alone = np.linalg.eigvals(companion), []
-        else:
-            z, alone = np.empty((len(qs), n), dtype=complex), np.flatnonzero(~finite)
-            z[finite] = np.linalg.eigvals(companion[finite])
+        z = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError:
-        z, alone = np.empty((len(qs), n), dtype=complex), range(len(qs))
-    for i in alone:
-        try:
-            z[i] = np.linalg.eigvals(companion[i])
-        except np.linalg.LinAlgError as exc:
-            out[i] = RootFindingError(f"companion eigenvalues failed (degree {n}): {exc}")
-    live = np.arange(len(qs))
-    if len(alone):
-        live = np.flatnonzero([result is None for result in out])
-        z, coef = z[live], coef[live]
-        if not live.size:
-            return out
+        # LAPACK refuses the whole stack for one row (a non-finite one, say):
+        # every row is then solved alone, and a row it refuses never starts
+        z = np.zeros((len(qs), n), dtype=complex)
+        for i in range(len(qs)):
+            try:
+                z[i] = np.linalg.eigvals(companion[i])
+            except np.linalg.LinAlgError as exc:
+                out[i] = RootFindingError(f"companion eigenvalues failed (degree {n}): {exc}")
     # |a_n| by the scalar abs(), as the disk test has always taken it:
     # np.abs on a complex array can differ from it in the last bit
     lead = np.array([abs(a) for a in coef[:, -1]])
@@ -340,13 +322,24 @@ def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
     # (z, z, |z|) gives q(z), q'(z) and the backward-error scale
     # sum |c_k| |z|^k, term by term as polyval computes each of them
     coef_abs = np.abs(coef)
-    table = np.zeros((n + 1, len(live), 3, 1), dtype=complex)
+    table = np.zeros((n + 1, len(qs), 3, 1), dtype=complex)
     table[:, :, 0, 0] = coef.T
     table[:-1, :, 1, 0] = (coef[:, 1:] * np.arange(1, n + 1)).T
     table[:, :, 2, 0] = coef_abs.T
     scale_floor = coef_abs.max(axis=1, keepdims=True) * 1e-30
-    polish = np.zeros(len(live), dtype=int)
+    polish = np.zeros(len(qs), dtype=int)
+    live = np.arange(len(qs))
+    # rows whose result is in: they leave the stack at the next sweep
+    gone = np.array([result is not None for result in out])
     for sweep in range(max_iter):
+        if gone.any():
+            if gone.all():
+                return out
+            keep = ~gone
+            table = table[:, keep]
+            z, live, lead, coef, scale_floor, polish, gone = (
+                a[keep] for a in (z, live, lead, coef, scale_floor, polish, gone)
+            )
         x = np.stack([z, z, np.abs(z)], axis=1)
         acc = table[n] + x * 0
         for k in range(n - 1, -1, -1):
@@ -359,16 +352,13 @@ def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
         polish += converged
         # eigenvalues carry the eigensolver's rounding (ulps off even for
         # t^2 - 1): they are returned only after one Aberth step
-        done = None
         if sweep and converged.any():
             simple = converged & (_disk_gaps(lead, z, pz, scale) > 0).all(axis=(1, 2))
-            done = simple | (polish > 48)
-            rows = np.flatnonzero(done).tolist()
-            for i in rows:
+            gone = simple | (polish > 48)
+            for i in np.flatnonzero(gone).tolist():
                 out[live[i]] = (z[i].tolist(), bool(simple[i]))
-            if len(rows) == len(live):
+            if gone.all():
                 return out
-            done = done if rows else None
         diff = z[:, :, None] - z[:, None, :]
         diff[:, diag, diag] = 1.0
         # Newton correction with Aberth repulsion
@@ -386,22 +376,12 @@ def _aberth_many(qs: list[Poly], tol: float, max_iter: int) -> list:
             step = np.where(bad, 0.1 * radius * np.exp(1j * diag), step)
         nz = z - step
         if converged.any():
-            tiny = converged & ((np.abs(step) / (1.0 + np.abs(z))).max(axis=1) <= 1e-15)
-            if done is not None:
-                tiny &= ~done
-            rows = np.flatnonzero(tiny).tolist()
-            for i in rows:
+            tiny = converged & ~gone & ((np.abs(step) / (1.0 + np.abs(z))).max(axis=1) <= 1e-15)
+            for i in np.flatnonzero(tiny).tolist():
                 out[live[i]] = (nz[i].tolist(), False)
-            if rows:
-                done = tiny if done is None else done | tiny
-                if done.all():
-                    return out
+            gone |= tiny
         z = nz
-        if done is not None:
-            keep = ~done
-            table = table[:, keep]
-            z, live, lead, coef, scale_floor, polish = (a[keep] for a in (z, live, lead, coef, scale_floor, polish))
-    for i in live:
+    for i in live[~gone]:
         out[i] = RootFindingError(f"Aberth iteration did not converge within {max_iter} iterations (degree {n})")
     return out
 
@@ -422,12 +402,9 @@ def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
 
 
 def _poly_roots_many(ps: list[Poly], tol: float | None = None) -> list[list[tuple[complex, int]]]:
-    """:func:`poly_roots` of every ``p``, the rests solved in one batch per
-    degree; the first failed solve, in the order of ``ps``, raises."""
-    tol = DEFAULT_TOL.root_residual if tol is None else tol
-    peeled = [_peel_zeros(p) for p in ps]
-    solves = _rest_solves([q for _, q in peeled], tol)
-    return [_multiset(zero_mult, q, *_solved(result)) for (zero_mult, q), result in zip(peeled, solves)]
+    """:func:`poly_roots` of every ``p``, solved in one :func:`_solves` batch;
+    the first failed solve, in the order of ``ps``, raises."""
+    return [_multiset(*_solved(result)) for result in _solves(ps, tol, 400)]
 
 
 def _multiset(zero_mult: int, q: Poly, roots: list[complex], simple: bool) -> list[tuple[complex, int]]:

@@ -63,9 +63,9 @@ from .numerics import (
     Mobius,
     Poly,
     Tolerances,
-    _aberth_roots_many,
     _chordal_matrix,
     _solved,
+    _solves,
     aberth_roots,  # not called here; bench/test_bench.py checks that the tracer rebinds this alias
     chordal,
     is_inf,
@@ -264,10 +264,11 @@ def closed_form_data(c: Construct) -> tuple[JPoint, SBGValues, GluingTriple]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_div(q: Poly, roots) -> Divisor:
+def _poly_div(q: Poly, solved) -> Divisor:
     """Divisor of the trimmed polynomial ``q`` as a rational function
-    (infinity by degree), from its entry of :func:`_section_roots`."""
-    return Divisor([(z, 1) for z in _solved(roots)] + [(INF, -q.degree)])
+    (infinity by degree), from its result of :func:`_solves`."""
+    zero_mult, _, roots, _ = _solved(solved)
+    return Divisor([(0j, 1)] * zero_mult + [(z, 1) for z in roots] + [(INF, -q.degree)])
 
 
 def _v_scale_divisor(cubic: NodalCubic) -> Divisor:
@@ -284,7 +285,7 @@ def _u_ratio_divisor(cubic: NodalCubic, num: tuple, den: tuple) -> Divisor:
     section beta = i_v Omega measured against the d f frame.
 
     u = V(t) (X'W - XW') / F_Y(gamma): numerically root-found numerator and
-    denominator, each a (polynomial, roots) pair; the vertical-tangent zeros
+    denominator, each a (polynomial, solve) pair; the vertical-tangent zeros
     shared by both cancel in the merge, leaving the double flex zero and the
     two node-preimage poles.
     """
@@ -329,17 +330,9 @@ def _section_polys(c: Construct) -> list[Poly]:
     return [p.trim() for p in polys]
 
 
-def _section_roots(polys: list[Poly], tol: float) -> list:
-    """The roots of every polynomial of :func:`_section_polys`, for any
-    number of constructs at once: one Aberth batch per degree.  A failed
-    solve stays in its entry, raised only where that divisor is taken."""
-    found = iter(_aberth_roots_many([q for q in polys if q.degree >= 1], tol))
-    return [next(found) if q.degree >= 1 else [] for q in polys]
-
-
-def _section_divisor(c: Construct, tol: Tolerances, polys: list[Poly], roots: list) -> tuple[Divisor, dict]:
+def _section_divisor(c: Construct, tol: Tolerances, polys: list[Poly], solved: list) -> tuple[Divisor, dict]:
     """Full divisor of the uncorrected section scale times the conormal frame,
-    from the construct's :func:`_section_polys` and their roots.
+    from the construct's :func:`_section_polys` and their :func:`_solves`.
 
     Pieces, all on the P parameter line (Q-side pieces pulled back through
     the identification):
@@ -351,7 +344,7 @@ def _section_divisor(c: Construct, tol: Tolerances, polys: list[Poly], roots: li
       points, and one zero per blown-up point (the eight non-chosen
       intersections and b on the P side, the eight on the Q side).
     """
-    w_p, w_q, fq_on_p, fp_on_q, num_p, den_p, num_q, den_q = zip(polys, roots)
+    w_p, w_q, fq_on_p, fp_on_q, num_p, den_p, num_q, den_q = zip(polys, solved)
     tau_p = c.p.tau
     inv_tau = tau_p.inverse()
     t_psi = inv_tau(1.0)
@@ -446,7 +439,7 @@ def direct_pipeline_data(c: Construct, tol: Tolerances = DEFAULT_TOL) -> tuple[J
     nonzero.  A construct runs the pipeline once per ``tol``; a rejection
     is not kept, so a repeated call raises again.  One call is a family of
     one in :func:`_direct_pipelines`: its eight root problems go through
-    four Aberth batches of one or two rows, one per degree.
+    four Aberth stacks of one or two rows, one per degree.
     """
     return next(_direct_pipelines([c], tol))
 
@@ -455,25 +448,25 @@ def _direct_pipelines(constructs: list[Construct], tol: Tolerances):
     """:func:`direct_pipeline_data` of each construct in turn.
 
     The pipeline runs in three steps: gather each construct's
-    :func:`_section_polys`, solve them all together grouped by degree
-    (:func:`_section_roots`), then assemble each construct's divisors and
-    values in order.  Constructs that already hold a result for ``tol`` are
-    skipped.  The first construct whose pipeline fails raises when its turn
-    comes, so earlier ones are memoized as their own calls would be, and a
-    failed solve raises in its own construct only.
+    :func:`_section_polys`, solve all of degree >= 1 in one :func:`_solves`
+    batch (a constant has no roots), then assemble each construct's divisors
+    and values in order.  Constructs that already hold a result for ``tol``
+    are skipped.  The first construct whose pipeline fails raises when its
+    turn comes, so earlier ones are memoized as their own calls would be,
+    and a failed solve raises in its own construct only.
     """
     polys = [None if tol in c.direct_pipelines else _section_polys(c) for c in constructs]
-    found = iter(_section_roots([q for qs in polys if qs for q in qs], tol.root_residual))
+    found = iter(_solves([q for qs in polys if qs for q in qs if q.degree], tol.root_residual, 400))
     for c, qs in zip(constructs, polys):
-        roots = [next(found) for _ in qs or ()]
+        solved = [next(found) if q.degree else (0, q, [], True) for q in qs or ()]
         memo = c.direct_pipelines
         if tol not in memo:
-            memo[tol] = _direct_pipeline(c, tol, qs, roots)
+            memo[tol] = _direct_pipeline(c, tol, qs, solved)
         yield memo[tol]
 
 
-def _direct_pipeline(c: Construct, tol: Tolerances, polys: list[Poly], roots: list) -> tuple[JPoint, DirectReport, GluingTriple]:
-    total, pieces = _section_divisor(c, tol, polys, roots)
+def _direct_pipeline(c: Construct, tol: Tolerances, polys: list[Poly], solved: list) -> tuple[JPoint, DirectReport, GluingTriple]:
+    total, pieces = _section_divisor(c, tol, polys, solved)
     if total.degree() != 3:
         raise GuardError("divisor-imbalance", f"section divisor has degree {total.degree()}, expected 3")
     marks = list(c.marks_p())
@@ -539,7 +532,7 @@ def consistency_check(constructs: list[Construct], tol: Tolerances = DEFAULT_TOL
     All members must share (n_p, n_q) to within MARKS_DRIFT_TOL; the
     report carries the maximal relative deviation of the ratio pair
     against the first member.  The members' direct pipelines solve their
-    root problems together, one Aberth batch per degree (four batches of
+    root problems together, one Aberth stack per degree (four stacks of
     ten rows for a family of five); a member that fails raises in its turn,
     after the members before it are memoized.
     """

@@ -80,6 +80,7 @@ def construct_from_json(text: str, tol: Tolerances = DEFAULT_TOL) -> Construct:
     q_map, q_node = decode_field(data, "Q", _dec_cubic)
     n_index = decode_field(data, "intersection_index", lambda v: int_tuple([v])[0])
     b = decode_field(data, "b", _dec_complex)
+    seed = decode_field(data, "seed", lambda v: v if v is None else int_tuple([v])[0]) if "seed" in data else None
     p = nodal_cubic(p_map, node=p_node, tol=tol)
     q = nodal_cubic(q_map, node=q_node, tol=tol)
-    return make_construct(p, q, intersect(p, q, tol), n_index, b, tol, seed=data.get("seed"))
+    return make_construct(p, q, intersect(p, q, tol), n_index, b, tol, seed=seed)

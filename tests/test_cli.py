@@ -6,6 +6,7 @@ import pytest
 
 from dualcx.cli import main
 from dualcx.ncgeom import builtin_surface
+from dualcx.serialize import construct_from_json, construct_to_json
 from dualcx.simplicial import SemiSimplicialSet, complex_from_json, make_single_2_simplex, make_tetrahedron_boundary
 from dualcx.topology import barycentric_subdivision, replay_collapse
 
@@ -101,7 +102,7 @@ def test_guard_rejection_exit_3(capsys, tmp_path):
 
 CIRCLE = {"kind": "ssset", "schema": 1, "dims": [1, 1], "faces": [[[0, 0]]]}
 NCSURF = {"kind": "ncsurf", "schema": 1, "strata": []}
-MISSING = object()  # a decoration value meaning "delete the key"
+MISSING = object()  # a field value meaning "delete the key"
 
 
 @pytest.mark.parametrize(
@@ -125,10 +126,15 @@ MISSING = object()  # a decoration value meaning "delete the key"
         ("topo euler", "dims", lambda d: d["dims"].__setitem__(0, True)),
         ("topo euler", "faces", lambda d: d["faces"][0][0].__setitem__(1, False)),
         ("obs data", "intersection_index", lambda d: d.update(intersection_index=True)),
+        ("cubic validate", "seed", lambda d: d.update(seed=True)),
+        ("cubic validate", "seed", lambda d: d.update(seed=1.5)),
+        ("cubic validate", "seed", lambda d: d.update(seed="x")),
+        ("cubic validate", "seed", lambda d: d.update(seed=[1])),
     ],
     ids=["no-P", "string-index", "float-index", "short-b", "nan-in-P", "nan-in-P-validate", "inf-in-b",
          "inf-in-b-validate", "inf-in-Q-node", "string-face-id", "no-faces", "no-strata", "huge-dims",
-         "dims-off-levels", "bool-dims", "bool-face-id", "bool-index"],
+         "dims-off-levels", "bool-dims", "bool-face-id", "bool-index", "bool-seed", "float-seed", "string-seed",
+         "list-seed"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     if command in ("obs data", "cubic validate"):
@@ -268,6 +274,48 @@ def test_root_finding_failure_exits_3(capsys):
     assert code == 3
     assert "rejected (root-finding): " in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cubic", "random", "--seed", "-1"], ["obs", "jacobian", "--seed", "-1"],
+     ["obs", "consistency", "--seed", "-1"], ["obs", "scan", "--seed", "-4"]],
+    ids=["cubic-random", "obs-jacobian", "obs-consistency", "obs-scan"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "--seed" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["consistency", "--family-size", "0"], "--family-size"), (["consistency", "--family-size", "-3"], "--family-size"),
+     (["consistency", "--family-size", "1"], "--family-size"), (["scan", "--targets", "0"], "--targets"),
+     (["scan", "--targets", "-2"], "--targets")],
+    ids=["family-0", "family-negative", "family-1", "targets-0", "targets-negative"],
+)
+def test_empty_sample_exits_2(capsys, argv, option):
+    # a check over no members or no targets would pass having checked nothing
+    code, out, err = run(capsys, "obs", *argv, "--seed", "5", "--json")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and option in err
+
+
+def test_construct_seed_null_missing_or_integer_round_trips(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    run(capsys, "cubic", "random", "--seed", "6", "--out", str(path))
+    saved = json.loads(path.read_text())
+    for seed in (None, 0, 6, MISSING):
+        data = {k: v for k, v in saved.items() if k != "seed"}
+        if seed is not MISSING:
+            data["seed"] = seed
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "cubic", "validate", str(path), "--json")
+        want = None if seed is MISSING else seed
+        assert code == 0 and json.loads(out)["report"]["summary"]["seed"] == want
+        c = construct_from_json(path.read_text())
+        assert c.seed == want and construct_from_json(construct_to_json(c)).seed == want
 
 
 def test_cluster_radius_override_reaches_route_two(capsys):

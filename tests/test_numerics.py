@@ -15,6 +15,7 @@ from dualcx.numerics import (
     _disk_gaps,
     _multiset,
     _peel_zeros,
+    _solves,
     aberth_roots,
     chordal,
     finite_diff_jacobian,
@@ -321,6 +322,43 @@ def test_a_failed_row_leaves_the_rest_of_its_stack_alone(monkeypatch):
             assert np.array(roots).tobytes() == np.array(_reference_aberth_roots(stack[i])).tobytes()
     with pytest.raises(RootFindingError, match="within 6 iterations"):
         aberth_roots(stack[3], max_iter=6)
+
+
+def test_one_batch_solves_each_polynomial_as_alone():
+    # shuffled degrees 1 to 9 with exact zero roots, monomials whose rest is
+    # a constant, and the two rows that fail: a non-finite companion, which
+    # makes LAPACK refuse its whole stack, and a triple root still polishing
+    # after six sweeps
+    rng = np.random.default_rng(23)
+    ps = []
+    for n in range(1, 10):
+        for zeros in range(3):
+            coef = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            coef[: min(zeros, n - 1)] = 0
+            ps.append(Poly(coef))
+    nan_row, slow_row = Poly([float("nan"), 1.0, 1.0, 1.0]), poly_from_roots([0.5 + 1j] * 3)
+    ps += [Poly([0, 0, 0, 2]), Poly([0, 5j]), nan_row, slow_row]
+    ps = [ps[i] for i in rng.permutation(len(ps))]
+    results = _solves(ps, None, 6)
+    assert len(results) == len(ps)
+    assert {_peel_zeros(p)[1].degree for p in ps} == set(range(10))
+    for p, result in zip(ps, results):
+        if p is nan_row or p is slow_row:
+            with pytest.raises(RootFindingError) as alone:
+                aberth_roots(p, max_iter=6)
+            assert isinstance(result, RootFindingError) and str(result) == str(alone.value)
+            continue
+        zero_mult, q, roots, _ = result
+        want_mult, want_q = _peel_zeros(p)
+        assert zero_mult == want_mult and q.coef.tobytes() == want_q.coef.tobytes()
+        solo = aberth_roots(p, max_iter=6)
+        assert len(solo) == p.trim().degree
+        assert np.array([0j] * zero_mult + roots).tobytes() == np.array(solo).tobytes()
+        got, want = _multiset(*result), poly_roots(p)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert np.array([z for z, _ in got]).tobytes() == np.array([z for z, _ in want]).tobytes()
+    assert "companion eigenvalues failed (degree 3)" in str(results[ps.index(nan_row)])
+    assert "within 6 iterations (degree 3)" in str(results[ps.index(slow_row)])
 
 
 def test_nonconvergence_is_loud():
