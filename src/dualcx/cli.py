@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -318,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-cluster", type=float, help="cluster radius for roots and divisors")
     common.add_argument("--tol-rank", type=float, help="relative singular-value floor for ranks")
 
+    # no abbreviations at the top: it would read `obs --tol` as an ambiguous --tol-*
     ap = argparse.ArgumentParser(
-        prog="dualcx", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, parents=[common]
+        prog="dualcx", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, parents=[common],
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="tool", required=True)
 
@@ -399,6 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+        for key in ("tol", "tol_root", "tol_cluster", "tol_rank"):
+            val = getattr(args, key, None)
+            if val is not None and not 0 < val < math.inf:
+                raise UsageError(f"--{key.replace('_', '-')} must be a finite positive number, got {val}")
         if args.tool == "topo":
             report, ok = cmd_topo(args)
         elif args.tool == "nc":

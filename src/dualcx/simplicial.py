@@ -77,38 +77,13 @@ class SemiSimplicialSet:
     def counts(self) -> tuple[int, ...]:
         return tuple(self.count(d) for d in range(self.dimension + 1))
 
-    def face(self, dim: int, idx: int, k: int) -> int:
-        return self.faces[dim - 1][idx][k]
-
     def validate(self) -> None:
-        """Check id ranges and the identities d_i d_j = d_{j-1} d_i (i < j).
+        """Check face-tuple lengths, id ranges and the identities d_k d_j = d_{j-1} d_k (k < j).
 
-        The check runs once per object; later calls return at once.
+        Checked once per object, as the validation of :attr:`triangulated`:
+        its coherence is these identities for :func:`functor_p`'s injections.
         """
-        self._validated  # the first access runs the check
-
-    @cached_property
-    def _validated(self) -> bool:
-        if self.num_vertices < 0:
-            raise ValidationError("negative vertex count")
-        for d in range(1, self.dimension + 1):
-            below = self.count(d - 1)
-            for i, fs in enumerate(self.faces[d - 1]):
-                if len(fs) != d + 1:
-                    raise ValidationError(f"simplex ({d},{i}) has {len(fs)} faces, wants {d + 1}")
-                for f in fs:
-                    if not (0 <= f < below):
-                        raise ValidationError(f"simplex ({d},{i}) references missing face {f}")
-        for d in range(2, self.dimension + 1):
-            for i in range(self.count(d)):
-                for j in range(d + 1):
-                    for k in range(j):
-                        # d_k d_j = d_{j-1} d_k for k < j
-                        a = self.face(d - 1, self.face(d, i, j), k)
-                        b = self.face(d - 1, self.face(d, i, k), j - 1)
-                        if a != b:
-                            raise ValidationError(f"semi-simplicial identity fails at ({d},{i}), k={k}, j={j}")
-        return True
+        self.triangulated  # the first access converts and validates
 
     @cached_property
     def triangulated(self) -> TriangulatedSet:
@@ -406,13 +381,15 @@ def functor_p(s: SemiSimplicialSet) -> TriangulatedSet:
     Decorated facets of the result are pairs (simplex, ordering), on which
     the symmetric groups act freely; in the reduced encoding the slots are
     the vertex positions and each attachment is the order-collapsing
-    injection induced by the face map.
+    injection induced by the face map.  It checks the face-tuple lengths;
+    the result's validation checks the rest of ``s``.
     """
-    s.validate()
     levels = []
     for d in range(1, s.dimension + 1):
         facets = []
-        for fs in s.faces[d - 1]:
+        for i, fs in enumerate(s.faces[d - 1]):
+            if len(fs) != d + 1:
+                raise ValidationError(f"simplex ({d},{i}) has {len(fs)} faces, wants {d + 1}")
             atts = []
             for k in range(d + 1):
                 inj = tuple(None if j == k else (j if j < k else j - 1) for j in range(d + 1))
@@ -548,6 +525,8 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     next facet shares a face with those already mapped, so its candidates
     are the unused maximal facets over that face's image (McKay and
     Piperno, *Practical graph isomorphism, II*, 2014, without refinement).
+    Over a one-slot face, that face's slot bijection generates the
+    candidates' slot bijections; over any other, all of them are tried.
     """
     t1.validate()
     t2.validate()
@@ -573,14 +552,16 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
             images = [
                 cells2[h][1] for h in pool if cells2[h][0] == d and not table2.cofaces[h] and cells2[h] not in used
             ]
-            # the facet's one-slot faces mapped so far, the same whenever this level is resumed
-            mapped = [(k, inj, facet_map[(d - 1, g)]) for k, (g, inj) in enumerate(t1.attach[d - 1][i] if d else ())
-                      if (d - 1, g) in facet_map]
-            levels.append((product(images, permutations(range(d + 1))), mapped))
-        candidates, mapped = levels[-1]
-        for img, perm in candidates:
-            if mapped and _clashes(t2, d, img, perm, mapped):
-                continue
+            if anchor is not None and anchor[0] == d - 1:
+                # the facet's first slot over the anchor goes to a slot of the image over the anchor's
+                # image, and the anchor's slot bijection fixes the others (listed before k, inj, a change)
+                k, inj = next((k, inj) for k, (g, inj) in enumerate(t1.attach[d - 1][i]) if g == anchor[1])
+                a, a_perm = facet_map[anchor]
+                levels.append(iter([(img, tuple(k2 if j == k else inj2.index(a_perm[inj[j]]) for j in range(d + 1)))
+                                    for img in images for k2, (g2, inj2) in enumerate(t2.attach[d - 1][img]) if g2 == a]))
+            else:
+                levels.append(product(images, permutations(range(d + 1))))
+        for img, perm in levels[-1]:
             trail = _map_closure(t1, t2, facet_map, used, facet, img, perm)
             if trail is not None:
                 trails.append(trail)
@@ -645,17 +626,6 @@ def _map_closure(t1, t2, facet_map: dict, used: set, facet, img: int, perm: tupl
                     g_perm[inj[j]] = inj2[perm[j]]
             todo.append(((d - 1, g), g2, tuple(g_perm)))
     return trail
-
-
-def _clashes(t2, d: int, img: int, perm: tuple, mapped: list) -> bool:
-    """Whether mapping a d-facet to (img, perm) forces another image or slot bijection on one of
-    its ``mapped`` (slot, injection, image) one-slot faces, so that :func:`_map_closure` would fail."""
-    atts = t2.attach[d - 1][img]
-    for k, inj, (g, g_perm) in mapped:
-        g2, inj2 = atts[perm[k]]
-        if g2 != g or any(g_perm[inj[j]] != inj2[perm[j]] for j in range(d + 1) if j != k):
-            return True
-    return False
 
 
 def _unmap(facet_map: dict, used: set, trail) -> None:

@@ -479,9 +479,7 @@ def replay_collapse(x, certificate) -> bool:
     for g, f in certificate:
         g = table.index.get(tuple(g))
         f = table.index.get(tuple(f))
-        if g is None or f is None or not alive >> g & 1 or not alive >> f & 1:
-            return False
-        if count[g] != 1 or (g, 1) not in table.faces[f] or table.cells[f][0] != table.cells[g][0] + 1:
+        if g is None or f is None or table.free_pairs(alive, count, [g]) != [(g, f)]:
             return False
         table.add(count, (g, f), -1)
         alive &= ~(1 << g | 1 << f)
@@ -503,7 +501,15 @@ def barycentric_subdivision(x) -> SemiSimplicialSet:
     Unlike the flag functor, this is a genuine subdivision for non-simple
     complexes as well.
     """
-    t = _as_tset(x)
+    # validated once _subdivided's index tables are gone, which the collections
+    # that validation triggers would otherwise promote to the oldest generation
+    out = _subdivided(_as_tset(x))
+    out.validate()
+    return out
+
+
+def _subdivided(t) -> SemiSimplicialSet:
+    """The faces of :func:`barycentric_subdivision` of ``t``, unvalidated."""
 
     def canon(cell):
         """Normalize (facet, chain) so the top subset is the full slot set."""
@@ -540,9 +546,7 @@ def barycentric_subdivision(x) -> SemiSimplicialSet:
                 fs.append(index[ln - 2][sub_cell])
             faces_level.append(tuple(fs))
         levels.append(tuple(faces_level))
-    out = SemiSimplicialSet(num_vertices=len(cells_by_len[0]), faces=tuple(levels))
-    out.validate()
-    return out
+    return SemiSimplicialSet(num_vertices=len(cells_by_len[0]), faces=tuple(levels))
 
 
 def _cell_sort_key(cell):

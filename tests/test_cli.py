@@ -288,6 +288,22 @@ def test_negative_seed_exits_2(capsys, argv):
     assert err.startswith("error: ") and "--seed" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("option", ["--tol", "--tol-root", "--tol-cluster", "--tol-rank"])
+def test_non_finite_or_non_positive_tolerance_exits_2(capsys, option, value):
+    # NaN or infinity would reach the report as bare NaN or Infinity, which is not JSON
+    code, out, err = run(capsys, "obs", "consistency", "--seed", "5", f"{option}={value}", "--json")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and f"{option} must" in err and len(err.splitlines()) == 1
+
+
+def test_obs_tol_reaches_the_check(capsys):
+    # --tol is no prefix of --tol-root, --tol-cluster or --tol-rank to the top-level parser
+    code, out, _ = run(capsys, "obs", "consistency", "--seed", "7", "--family-size", "3", "--tol", "1e-30", "--json")
+    rep = json.loads(out)["report"]
+    assert code == 1 and rep["tolerance"] == 1e-30 and not rep["passed"]
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [(["consistency", "--family-size", "0"], "--family-size"), (["consistency", "--family-size", "-3"], "--family-size"),

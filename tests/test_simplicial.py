@@ -152,6 +152,58 @@ def test_validation_rejects_broken_identities():
         bad.validate()
 
 
+def _reference_rejects(s) -> bool:
+    """The semi-simplicial check written out: face-tuple lengths, id ranges,
+    and the identities d_k d_j = d_{j-1} d_k for k < j."""
+    if s.num_vertices < 0:
+        return True
+    for d in range(1, s.dimension + 1):
+        for fs in s.faces[d - 1]:
+            if len(fs) != d + 1 or not all(0 <= f < s.count(d - 1) for f in fs):
+                return True
+    for d in range(2, s.dimension + 1):
+        for fs in s.faces[d - 1]:
+            for j in range(d + 1):
+                for k in range(j):
+                    if s.faces[d - 2][fs[j]][k] != s.faces[d - 2][fs[k]][j - 1]:
+                        return True
+    return False
+
+
+def _random_face_tuples(rng):
+    """Up to three levels of 1-2 simplices over 0-2 vertices, with random faces;
+    now and then a vertex count of -1, a face tuple one too long or short, or
+    a face id one past the end."""
+    counts = [int(rng.integers(0, 3)) - int(rng.random() < 0.05)]
+    counts += [int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 4)))]
+    faces = []
+    for d in range(1, len(counts)):
+        top = max(counts[d - 1], 0) + int(rng.random() < 0.05)
+        level = []
+        for _ in range(counts[d]):
+            n = d + 1 + int(rng.random() < 0.05) * int(rng.choice((-1, 1)))
+            level.append(tuple(int(v) for v in rng.integers(0, max(top, 1), n)))
+        faces.append(tuple(level))
+    return SemiSimplicialSet(counts[0], tuple(faces))
+
+
+def test_validation_rejects_exactly_what_the_reference_rejects():
+    # validation goes through the triangulated view's coherence, which must
+    # be the semi-simplicial identities
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(4000):
+        s = _random_face_tuples(rng)
+        try:
+            s.validate()
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted != _reference_rejects(s), s
+        seen.add((s.dimension, accepted))
+    assert seen == {(d, ok) for d in (1, 2, 3) for ok in (True, False)}
+
+
 def test_validation_rejects_incoherent_attachments():
     # triangle over two distinct edges whose vertex identifications clash
     edge_attach = (

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, permutations, product
 
 import numpy as np
 import pytest
@@ -806,7 +806,9 @@ def test_chain_complex_checks_shapes_and_square_zero():
 
 
 def test_one_conversion_per_complex(monkeypatch):
-    x = barycentric_subdivision(make_duncehat())
+    # at most one conversion per object: the subdivision converts its input,
+    # and its result while validating it; later calls convert nothing, and a
+    # fresh copy converts once
     calls = []
     real = simplicial.functor_p
 
@@ -821,10 +823,13 @@ def test_one_conversion_per_complex(monkeypatch):
         return (groups(x), euler_characteristic(x), free_faces(x), col, replay_collapse(x, ()),
                 edge_path_presentation(x))
 
+    base = make_duncehat()
+    x = barycentric_subdivision(base)
+    assert [id(s) for s in calls] == [id(base), id(x)]
     first = results(x)
-    assert len(calls) == 1 and calls[0] is x
-    assert results(x) == first and len(calls) == 1
-    assert results(SemiSimplicialSet(x.num_vertices, x.faces)) == first and len(calls) == 2
+    assert results(x) == first and len(calls) == 2
+    y = SemiSimplicialSet(x.num_vertices, x.faces)
+    assert results(y) == first and len(calls) == 3 and calls[-1] is y
 
 
 def test_one_incidence_table_per_complex(monkeypatch):
@@ -950,6 +955,79 @@ def test_isomorphism_verdicts_on_the_pool_and_its_partners():
     assert verdicts == [[a is b] * 6 for a in items for b in items]
 
 
+def _relabel_slots(t, rng):
+    """The same triangulated set with the slots of every facet permuted."""
+    rho = [[tuple(rng.permutation(d + 1).tolist()) for _ in range(t.count(d))] for d in range(t.dimension + 1)]
+    levels = []
+    for d in range(1, t.dimension + 1):
+        level = []
+        for i, atts in enumerate(t.attach[d - 1]):
+            new = [None] * (d + 1)
+            for k, (g, inj) in enumerate(atts):
+                moved = [None] * (d + 1)
+                for j in range(d + 1):
+                    if j != k:
+                        moved[rho[d][i][j]] = rho[d - 1][g][inj[j]]
+                new[rho[d][i][k]] = (g, tuple(moved))
+            level.append(tuple(new))
+        levels.append(tuple(level))
+    return TriangulatedSet(t.num_vertices, tuple(levels))
+
+
+def _brute_isomorphic(t1, t2) -> bool:
+    """Whether some bijection of the cells of each dimension, with a bijection
+    of the slots of each cell, commutes with every attachment."""
+    if t1.counts() != t2.counts():
+        return False
+    cells = [(d, i) for d in range(t1.dimension + 1) for i in range(t1.count(d))]
+
+    def commutes(sigma, pi, d, i, k):
+        g, inj = t1.attachment(d, i, k)
+        g2, inj2 = t2.attachment(d, sigma[d][i], pi[(d, i)][k])
+        return g2 == sigma[d - 1][g] and all(
+            pi[(d - 1, g)][inj[j]] == inj2[pi[(d, i)][j]] for j in range(d + 1) if j != k)
+
+    for sigma in product(*(permutations(range(t1.count(d))) for d in range(t1.dimension + 1))):
+        for slots in product(*(permutations(range(d + 1)) for d, _ in cells)):
+            pi = dict(zip(cells, slots))
+            if all(commutes(sigma, pi, d, i, k) for d, i in cells for k in range(d + 1 if d else 0)):
+                return True
+    return False
+
+
+def _triangles_on_one_edge(*kinds):
+    """One vertex, one edge, and one triangle per kind with every side on the
+    edge: the middle side of a "dunce" triangle keeps the slot order, that of
+    a "cyclic" one reverses it."""
+    middle = {"dunce": (0, None, 1), "cyclic": (1, None, 0)}
+    tris = tuple(((0, (None, 0, 1)), (0, middle[k]), (0, (0, 1, None))) for k in kinds)
+    return TriangulatedSet(1, ((((0, (None, 0)), (0, (0, None))),), tris))
+
+
+def test_isomorphism_agrees_with_the_brute_force_oracle():
+    # complexes of at most 3 cells per dimension, each with copies whose
+    # cell ids and slots are relabelled; in the last four a mapped edge fixes
+    # where a triangle's slots go, and in the last one only through the
+    # edge's own slot bijection
+    rng = np.random.default_rng(24)
+    bases = [make_duncehat(), make_cyclic_triangle(), make_cycle_graph(3), make_single_2_simplex(),
+             _pinched_triangle(), _digon_and_loop(), _triangles_on_one_edge("dunce", "dunce"),
+             _triangles_on_one_edge("dunce", "cyclic"), _triangles_on_one_edge("cyclic", "cyclic"),
+             SemiSimplicialSet(1, (((0, 0), (0, 0)), ((1, 0, 0), (1, 1, 0))))]
+    items = []
+    for x in bases:
+        t = _as_tset(x)
+        items += [t] + [_relabel_slots(_relabel(t, rng), rng) for _ in range(2)]
+    verdicts = Counter()
+    for a, b in product(items, repeat=2):
+        if a.counts() == b.counts():
+            want = _brute_isomorphic(a, b)
+            assert isomorphic(a, b) == want, (a, b)
+            verdicts[want] += 1
+    # bases of equal counts are never isomorphic: 3 pairs and a triple
+    assert verdicts == Counter({True: 10 * 9, False: (3 * 2 + 3 * 2) * 9})
+
+
 def test_isomorphism_precheck_skips_clashing_candidates(monkeypatch):
     cyclic, dunce = (_as_tset(barycentric_subdivision(x)) for x in (make_cyclic_triangle(), make_duncehat()))
     walks = []
@@ -961,4 +1039,4 @@ def test_isomorphism_precheck_skips_clashing_candidates(monkeypatch):
 
     monkeypatch.setattr(simplicial, "_map_closure", counting)
     assert not isomorphic(cyclic, dunce)
-    assert len(walks) <= 150  # 684 walks without the precheck
+    assert len(walks) <= 150  # 684 walks when every slot bijection of an image is a candidate
