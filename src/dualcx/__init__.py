@@ -44,6 +44,7 @@ from .ncgeom import (
     NCSurfaceDescription,
     PicClass,
     PicTorus,
+    curve_graph,
     dual_complex,
     duncehat_curve_graph,
     duncehat_surface_description,

@@ -63,31 +63,21 @@ def _jsonable(x):
     return x
 
 
-def _load_complex(args):
-    if args.builtin:
-        return simplicial.builtin_complex(args.builtin)
-    if not args.file:
-        raise UsageError("give a complex file or --builtin NAME")
-    with open(args.file) as fh:
-        return simplicial.complex_from_json(fh.read())
-
-
-def _load_surface(args):
-    if args.builtin:
-        return ncgeom.builtin_surface(args.builtin)
-    if not args.file:
-        raise UsageError("give a surface file or --builtin NAME")
-    with open(args.file) as fh:
-        return ncgeom.ncsurf_from_json(fh.read())
-
-
-def _input_tag(args) -> str:
-    if getattr(args, "builtin", None):
-        return f"builtin:{args.builtin}"
-    if getattr(args, "file", None):
+def _load(args, builtin, from_json):
+    """The command's input: ``from_json`` of FILE, read once as bytes whose
+    digest becomes the report's ``input`` tag, or else ``builtin(NAME)``;
+    a command with a ``--builtin`` option needs one of the two."""
+    if args.file is not None:
         with open(args.file, "rb") as fh:
-            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()[:16]
-    return "none"
+            raw = fh.read()
+        args.input = "sha256:" + hashlib.sha256(raw).hexdigest()[:16]
+        return from_json(raw.decode())
+    name = getattr(args, "builtin", None)
+    if name is not None:
+        args.input = f"builtin:{name}"
+    elif hasattr(args, "builtin"):
+        raise UsageError("give a FILE or --builtin NAME")
+    return builtin(name)
 
 
 def _tolerances(args) -> Tolerances:
@@ -106,8 +96,8 @@ def _tolerances(args) -> Tolerances:
 # ---------------------------------------------------------------------------
 
 
-def cmd_topo(args) -> tuple[dict, bool]:
-    x = _load_complex(args)
+def cmd_topo(args, tol) -> tuple[dict, bool]:
+    x = _load(args, simplicial.builtin_complex, simplicial.complex_from_json)
     if args.topo_cmd == "homology":
         hs = topology.homology(x)
         return {"homology": [{"betti": h.betti, "torsion": list(h.torsion)} for h in hs],
@@ -136,11 +126,9 @@ def cmd_topo(args) -> tuple[dict, bool]:
             "tietze": {"status": tz.status, "reason": tz.reason,
                        "moves": [list(map(str, m)) for m in tz.moves] if tz.moves else None},
         }, True
-    if args.topo_cmd == "subdivide":
-        b = topology.barycentric_subdivision(x)
-        return {"counts": list(b.counts()), "euler_characteristic": b.euler_characteristic(),
-                "complex": b.to_json_dict()}, True
-    raise UsageError(f"unknown topo subcommand {args.topo_cmd!r}")
+    b = topology.barycentric_subdivision(x)  # subdivide
+    return {"counts": list(b.counts()), "euler_characteristic": b.euler_characteristic(),
+            "complex": b.to_json_dict()}, True
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +136,8 @@ def cmd_topo(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_nc(args) -> tuple[dict, bool]:
-    desc = _load_surface(args)
+def cmd_nc(args, tol) -> tuple[dict, bool]:
+    desc = _load(args, ncgeom.builtin_surface, ncgeom.ncsurf_from_json)
     if args.nc_cmd == "dual-complex":
         t = ncgeom.dual_complex(desc)
         return {"counts": list(t.counts()), "complex": t.to_json_dict()}, True
@@ -159,7 +147,7 @@ def cmd_nc(args) -> tuple[dict, bool]:
     if args.nc_cmd == "chi":
         return {"generic_fiber_euler": ncgeom.generic_fiber_euler(desc)}, True
     if args.nc_cmd == "pic0":
-        graph = _incidence_graph(desc)
+        graph = ncgeom.curve_graph(desc)
         torus = ncgeom.pic0_structure(graph)
         return {
             "components": graph.num_components,
@@ -167,26 +155,10 @@ def cmd_nc(args) -> tuple[dict, bool]:
             "torus_dimension": torus.dimension,
             "graph_betti_1": graph.betti_1(),
         }, True
-    if args.nc_cmd == "pi1":
-        flags = [True] * len(desc.components()) if args.assume_simply_connected else [False] * len(desc.components())
-        verdict = ncgeom.pi1_vanishing_verdict(desc, flags, budget=args.budget)
-        return {"status": verdict.status, "reasons": list(verdict.reasons),
-                "component_flags": flags}, verdict.status == "vanishes" or not args.assume_simply_connected
-    raise UsageError(f"unknown nc subcommand {args.nc_cmd!r}")
-
-
-def _incidence_graph(desc) -> ncgeom.CurveIncidenceGraph:
-    """Incidence graph of the singular locus: double curves vs triple points."""
-    mult = [st.branches for st in desc.triple_points()]
-    edges = []
-    for j, tp in enumerate(desc.triple_points()):
-        for tgt, _ in tp.attach:
-            edges.append((tgt, j))
-    return ncgeom.CurveIncidenceGraph(
-        num_components=len(desc.double_curves()),
-        point_multiplicities=tuple(mult),
-        edges=tuple(edges),
-    )
+    flags = [args.assume_simply_connected] * len(desc.components())  # pi1
+    verdict = ncgeom.pi1_vanishing_verdict(desc, flags, budget=args.budget)
+    return {"status": verdict.status, "reasons": list(verdict.reasons),
+            "component_flags": flags}, verdict.status == "vanishes" or not args.assume_simply_connected
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +166,9 @@ def _incidence_graph(desc) -> ncgeom.CurveIncidenceGraph:
 # ---------------------------------------------------------------------------
 
 
-def _construct_from_args(args, tol) -> cubics.Construct:
-    if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return construct_from_json(fh.read(), tol)
-    return cubics.random_construct(args.seed, tol)
+def _construct(args, tol) -> cubics.Construct:
+    """The construct in FILE, or else the random one of ``--seed``."""
+    return _load(args, lambda _: cubics.random_construct(args.seed, tol), lambda text: construct_from_json(text, tol))
 
 
 def _construct_summary(c: cubics.Construct) -> dict:
@@ -217,18 +187,15 @@ def _construct_summary(c: cubics.Construct) -> dict:
 def cmd_cubic(args, tol) -> tuple[dict, bool]:
     if args.cubic_cmd in ("make", "random"):
         c = cubics.random_construct(args.seed, tol)
-        payload = json.loads(construct_to_json(c))
+        text = construct_to_json(c)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(construct_to_json(c))
-        return {"construct": payload, "summary": _construct_summary(c)}, True
+                fh.write(text)
+        return {"construct": json.loads(text), "summary": _construct_summary(c)}, True
     if args.cubic_cmd == "validate":
-        c = _construct_from_args(args, tol)
+        c = _construct(args, tol)
         return {"valid": True, "summary": _construct_summary(c)}, True
-    if args.cubic_cmd == "show":
-        c = _construct_from_args(args, tol)
-        return {"summary": _construct_summary(c)}, True
-    raise UsageError(f"unknown cubic subcommand {args.cubic_cmd!r}")
+    return {"summary": _construct_summary(_construct(args, tol))}, True  # show
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +204,10 @@ def cmd_cubic(args, tol) -> tuple[dict, bool]:
 
 
 def cmd_obs(args, tol) -> tuple[dict, bool]:
+    if args.tol is None:
+        args.tol = 1e-6 if args.obs_cmd == "consistency" else 1e-8
     if args.obs_cmd == "data":
-        c = _construct_from_args(args, tol)
+        c = _construct(args, tol)
         jc, sbg, tc = obstruction.closed_form_data(c)
         jd, rep, td = obstruction.direct_pipeline_data(c, tol)
         return {
@@ -264,7 +233,7 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
             "passed": passed,
         }, passed
     if args.obs_cmd == "jacobian":
-        c = _construct_from_args(args, tol)
+        c = _construct(args, tol)
         jr = obstruction.jacobian_rank(c, tol=tol)
         return {
             "summary": _construct_summary(c),
@@ -273,21 +242,19 @@ def cmd_obs(args, tol) -> tuple[dict, bool]:
             "rank_tol": tol.rank_tol,
             "full_rank": jr.rank == 4,
         }, jr.rank == 4
-    if args.obs_cmd == "scan":
-        if args.targets < 1:
-            raise UsageError(f"--targets must be at least 1, got {args.targets}")
-        rep = obstruction.surjectivity_scan(args.seed, n_targets=args.targets, tol=args.tol, tolerances=tol)
-        return {
-            "seed": args.seed,
-            "targets": [
-                {"target": _c(t.target[0]) + _c(t.target[1]), "reached": t.reached,
-                 "iterations": t.iterations, "residual": t.residual}
-                for t in rep.targets
-            ],
-            "newton_tolerance": args.tol,
-            "all_reached": rep.all_reached,
-        }, rep.all_reached
-    raise UsageError(f"unknown obs subcommand {args.obs_cmd!r}")
+    if args.targets < 1:  # scan
+        raise UsageError(f"--targets must be at least 1, got {args.targets}")
+    rep = obstruction.surjectivity_scan(args.seed, n_targets=args.targets, tol=args.tol, tolerances=tol)
+    return {
+        "seed": args.seed,
+        "targets": [
+            {"target": _c(t.target[0]) + _c(t.target[1]), "reached": t.reached,
+             "iterations": t.iterations, "residual": t.residual}
+            for t in rep.targets
+        ],
+        "newton_tolerance": args.tol,
+        "all_reached": rep.all_reached,
+    }, rep.all_reached
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +339,11 @@ def _render_human(report: dict, indent: int = 0) -> str:
     return "\n".join(l for l in lines if l.strip() != "-")
 
 
+_TOOLS = {"topo": cmd_topo, "nc": cmd_nc, "cubic": cmd_cubic, "obs": cmd_obs, "reproduce": cmd_reproduce}
+
+# the subcommands that build their input from --seed
+_READS_NO_FILE = ("make", "random", "consistency", "scan")
+
 _GLOBAL_DEFAULTS = {
     "json": False,
     "seed": 1,
@@ -398,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, val)
     tol = _tolerances(args)
+    subcommand = getattr(args, f"{args.tool}_cmd", args.tool)
     started = time.time()
     try:
         if args.seed < 0:
@@ -406,21 +379,11 @@ def main(argv: list[str] | None = None) -> int:
             val = getattr(args, key, None)
             if val is not None and not 0 < val < math.inf:
                 raise UsageError(f"--{key.replace('_', '-')} must be a finite positive number, got {val}")
-        if args.tool == "topo":
-            report, ok = cmd_topo(args)
-        elif args.tool == "nc":
-            report, ok = cmd_nc(args)
-        elif args.tool == "cubic":
-            report, ok = cmd_cubic(args, tol)
-        elif args.tool == "obs":
-            if args.tol is None:
-                args.tol = 1e-6 if args.obs_cmd == "consistency" else 1e-8
-            report, ok = cmd_obs(args, tol)
-        elif args.tool == "reproduce":
-            report, ok = cmd_reproduce(args, tol)
-        else:
-            raise UsageError(f"unknown tool {args.tool!r}")
-    except (UsageError, ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        file, name = getattr(args, "file", None), getattr(args, "builtin", None)
+        if file is not None and (name is not None or subcommand in _READS_NO_FILE):
+            raise UsageError(f"{args.tool} {subcommand} does not read FILE {file!r}" + (" with --builtin" if name else ""))
+        report, ok = _TOOLS[args.tool](args, tol)
+    except (UsageError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
@@ -437,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         "schema": SCHEMA,
         "version": __version__,
         "tool": args.tool,
-        "subcommand": getattr(args, f"{args.tool}_cmd", args.tool),
-        "input": _input_tag(args),
+        "subcommand": subcommand,
+        "input": getattr(args, "input", "none"),
         "seed": args.seed,
         "tolerances": {
             "root_residual": tol.root_residual,

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the file-field decoder.
+"""Exception hierarchy shared by all modules, and the one boundary for files.
 
 The split matters for the command line tool, which maps these onto exit
 codes: usage and malformed-input problems exit 2, numeric guard rejections
@@ -6,6 +6,11 @@ and root-finding failures exit 3, and verdict failures exit 1.
 """
 
 from __future__ import annotations
+
+import json
+
+# the one schema version of the three file kinds (complex, surface, construct)
+SCHEMA_VERSION = 1
 
 
 class DualcxError(Exception):
@@ -35,14 +40,30 @@ class BudgetError(DualcxError):
     """A bounded search was invoked with a non-positive budget."""
 
 
+def load_json(text, kinds: tuple[str, ...], what: str) -> dict:
+    """The parsed file: a JSON object whose ``kind`` is one of ``kinds`` at
+    :data:`SCHEMA_VERSION`; anything else raises :class:`ValidationError`."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the parser recurses once per nesting level
+        raise ValidationError(f"malformed JSON: {exc}") from exc
+    if not isinstance(data, dict) or data.get("kind") not in kinds or data.get("schema") != SCHEMA_VERSION:
+        raise ValidationError(f"not a supported {what} file")
+    return data
+
+
+def int_value(v) -> int:
+    """``v`` as an integer; anything else raises ``TypeError`` (a float is
+    never truncated, and a JSON boolean is not an integer), for use inside
+    :func:`decode_field`."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"non-integer value {v!r}")
+    return v
+
+
 def int_tuple(values) -> tuple[int, ...]:
-    """The values as a tuple of integers; a non-integer raises ``TypeError``
-    (a float is never truncated, and a JSON boolean is not an integer), for
-    use inside :func:`decode_field`."""
-    out = tuple(values)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in out):
-        raise TypeError(f"non-integer value in {values!r}")
-    return out
+    """The values as a tuple of integers, each decoded by :func:`int_value`."""
+    return tuple(map(int_value, values))
 
 
 def decode_field(data, key: str, decode):

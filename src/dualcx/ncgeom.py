@@ -24,16 +24,13 @@ exact input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import GuardError, ValidationError, decode_field, int_tuple
+from .errors import SCHEMA_VERSION, GuardError, ValidationError, decode_field, int_tuple, int_value, load_json
 from .simplicial import TriangulatedSet, _dec_attachment
 from .topology import edge_path_presentation, smith_normal_form, tietze_trivialize
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +129,6 @@ class NCSurfaceDescription:
         }
 
 
-def _dec_int(v) -> int:
-    return int_tuple([v])[0]
-
-
 def _dec_pair(v) -> tuple[int, int]:
     pair = int_tuple(v)
     if len(pair) != 2:
@@ -150,14 +143,14 @@ def _dec_bool(v) -> bool:
 
 
 def _dec_count(v) -> int:
-    n = _dec_int(v)
+    n = int_value(v)
     if n < 0:
         raise ValueError(f"wants a count of at least 0, got {n}")
     return n
 
 
 def _dec_even(v) -> int:
-    n = _dec_int(v)
+    n = int_value(v)
     if n % 2:
         raise ValueError(f"wants an even number (each curve component gives 2 - 2g), got {n}")
     return n
@@ -169,34 +162,36 @@ def _dec_stratum(d: dict, codim: int) -> Stratum:
         return decode_field(d, key, decode) if key in d else None
 
     return Stratum(
-        branches=decode_field(d, "branches", _dec_int),
+        branches=decode_field(d, "branches", int_value),
         branch_trivial=decode_field(d, "branch_trivial", _dec_bool) if "branch_trivial" in d else True,
         attach=tuple(map(_dec_attachment, d.get("attach", []))),
-        chi_normalization=optional("chi_normalization", _dec_even if codim == 1 else _dec_int),
+        chi_normalization=optional("chi_normalization", _dec_even if codim == 1 else int_value),
         normal_degrees=optional("normal_degrees", _dec_pair),
         triple_count=optional("triple_count", _dec_count),
     )
 
 
-def ncsurf_from_json_dict(data: dict) -> NCSurfaceDescription:
-    if not isinstance(data, dict) or data.get("kind") != "ncsurf" or data.get("schema") != SCHEMA_VERSION:
-        raise ValidationError("not a supported surface description file")
-    levels = decode_field(
-        data, "strata", lambda v: [tuple(_dec_stratum(st, k) for st in level) for k, level in enumerate(v)]
-    )
-    while len(levels) < 3:
-        levels.append(tuple())
-    out = NCSurfaceDescription(strata=(levels[0], levels[1], levels[2]), name=data.get("name", ""))
-    out.validate()
-    return out
+def _dec_strata(v) -> tuple:
+    if len(v) > 3:
+        raise ValueError(f"wants at most three codimensions, got {len(v)}")
+    levels = tuple(tuple(_dec_stratum(st, k) for st in level) for k, level in enumerate(v))
+    return levels + ((),) * (3 - len(levels))
+
+
+def _dec_str(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"wants a string, got {v!r}")
+    return v
 
 
 def ncsurf_from_json(text: str) -> NCSurfaceDescription:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    return ncsurf_from_json_dict(data)
+    data = load_json(text, ("ncsurf",), "surface description")
+    out = NCSurfaceDescription(
+        strata=decode_field(data, "strata", _dec_strata),
+        name=decode_field(data, "name", _dec_str) if "name" in data else "",
+    )
+    out.validate()
+    return out
 
 
 def dual_complex(desc: NCSurfaceDescription) -> TriangulatedSet:
@@ -487,9 +482,20 @@ class CurveIncidenceGraph:
         return len(self.edges) - n_vert + comps
 
 
+def curve_graph(desc: NCSurfaceDescription) -> CurveIncidenceGraph:
+    """Incidence graph of the singular curve: double curves against triple
+    points, one edge per continuation of a triple point onto a double curve."""
+    points = desc.triple_points()
+    return CurveIncidenceGraph(
+        num_components=len(desc.double_curves()),
+        point_multiplicities=tuple(tp.branches for tp in points),
+        edges=tuple((tgt, j) for j, tp in enumerate(points) for tgt, _ in tp.attach),
+    )
+
+
 def duncehat_curve_graph() -> CurveIncidenceGraph:
-    """One rational component through one triple point three times."""
-    return CurveIncidenceGraph(1, (3,), ((0, 0), (0, 0), (0, 0)))
+    """The dunce-hat surface's singular curve: one component through one triple point three times."""
+    return curve_graph(duncehat_surface_description())
 
 
 @dataclass(frozen=True)

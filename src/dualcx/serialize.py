@@ -14,10 +14,8 @@ import cmath
 import json
 
 from .cubics import Construct, CubicMap, NodalCubic, intersect, make_construct, nodal_cubic
-from .errors import ValidationError, decode_field, int_tuple
+from .errors import SCHEMA_VERSION, decode_field, int_value, load_json
 from .numerics import DEFAULT_TOL, Poly, Tolerances
-
-SCHEMA_VERSION = 1
 
 
 def _enc_complex(z: complex) -> list[str]:
@@ -26,8 +24,9 @@ def _enc_complex(z: complex) -> list[str]:
 
 
 def _dec_complex(pair) -> complex:
-    real, imag = pair
-    z = complex(float(real), float(imag))
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(part, str) for part in pair)):
+        raise TypeError(f"wants a pair of decimal strings, got {pair!r}")
+    z = complex(float(pair[0]), float(pair[1]))
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite number {pair!r}")
     return z
@@ -70,17 +69,12 @@ def construct_to_json(c: Construct) -> str:
 
 
 def construct_from_json(text: str, tol: Tolerances = DEFAULT_TOL) -> Construct:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("kind") != "construct" or data.get("schema") != SCHEMA_VERSION:
-        raise ValidationError("not a supported construct file")
+    data = load_json(text, ("construct",), "construct")
     p_map, p_node = decode_field(data, "P", _dec_cubic)
     q_map, q_node = decode_field(data, "Q", _dec_cubic)
-    n_index = decode_field(data, "intersection_index", lambda v: int_tuple([v])[0])
+    n_index = decode_field(data, "intersection_index", int_value)
     b = decode_field(data, "b", _dec_complex)
-    seed = decode_field(data, "seed", lambda v: v if v is None else int_tuple([v])[0]) if "seed" in data else None
+    seed = decode_field(data, "seed", lambda v: v if v is None else int_value(v)) if "seed" in data else None
     p = nodal_cubic(p_map, node=p_node, tol=tol)
     q = nodal_cubic(q_map, node=q_node, tol=tol)
     return make_construct(p, q, intersect(p, q, tol), n_index, b, tol, seed=seed)

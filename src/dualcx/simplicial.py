@@ -36,9 +36,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .errors import ValidationError, decode_field, int_tuple
-
-SCHEMA_VERSION = 1
+from .errors import SCHEMA_VERSION, ValidationError, decode_field, int_tuple, int_value, load_json
 
 # complex files may declare at most this many cells in total; the
 # tetrahedron's third subdivision has 2594
@@ -644,17 +642,13 @@ def complex_to_json(x) -> str:
 
 def _dec_attachment(pair) -> Attachment:
     g, inj = pair
-    return int_tuple([g])[0], tuple(None if v == -1 else v for v in int_tuple(inj))
+    return int_value(g), tuple(None if v == -1 else v for v in int_tuple(inj))
 
 
-def complex_from_json_dict(data: dict):
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-        raise ValidationError("unsupported complex schema")
-    kind = data.get("kind")
-    if kind not in ("ssset", "tset"):
-        raise ValidationError("unknown complex kind")
+def complex_from_json(text: str):
+    data = load_json(text, ("ssset", "tset"), "complex")
     dims = decode_field(data, "dims", int_tuple)
-    if kind == "ssset":
+    if data["kind"] == "ssset":
         cls = SemiSimplicialSet
         levels = decode_field(data, "faces", lambda v: tuple(tuple(int_tuple(f) for f in level) for level in v))
     else:
@@ -669,14 +663,6 @@ def complex_from_json_dict(data: dict):
     out = cls(dims[0] if dims else 0, levels)
     out.validate()
     return out
-
-
-def complex_from_json(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    return complex_from_json_dict(data)
 
 
 BUILTIN_COMPLEXES = {

@@ -1,9 +1,11 @@
 """The command line: dispatch, exit codes, deterministic reports."""
 
+import hashlib
 import json
 
 import pytest
 
+from dualcx import cubics, ncgeom, obstruction, simplicial
 from dualcx.cli import main
 from dualcx.ncgeom import builtin_surface
 from dualcx.serialize import construct_from_json, construct_to_json
@@ -130,11 +132,17 @@ MISSING = object()  # a field value meaning "delete the key"
         ("cubic validate", "seed", lambda d: d.update(seed=1.5)),
         ("cubic validate", "seed", lambda d: d.update(seed="x")),
         ("cubic validate", "seed", lambda d: d.update(seed=[1])),
+        # a complex number is a list of two decimal strings, nothing else of length two
+        ("cubic validate", "b", lambda d: d.update(b="12")),
+        ("cubic validate", "b", lambda d: d.update(b=[True, False])),
+        ("cubic validate", "P", lambda d: d["P"]["x"].__setitem__(0, [1.0, 0.0])),
+        ("nc chi", "strata", lambda d: d.update(strata=[[], [], [], [{"branches": 4, "attach": [[9, [0, 1, 2, -1]]]}]])),
+        ("nc chi", "name", lambda d: d.update(name=["x"])),
     ],
     ids=["no-P", "string-index", "float-index", "short-b", "nan-in-P", "nan-in-P-validate", "inf-in-b",
          "inf-in-b-validate", "inf-in-Q-node", "string-face-id", "no-faces", "no-strata", "huge-dims",
          "dims-off-levels", "bool-dims", "bool-face-id", "bool-index", "bool-seed", "float-seed", "string-seed",
-         "list-seed"],
+         "list-seed", "string-b", "bool-pair-b", "number-pair-in-P", "fourth-codimension", "list-name"],
 )
 def test_malformed_file_field_exits_2(capsys, tmp_path, command, field, edit):
     if command in ("obs data", "cubic validate"):
@@ -176,16 +184,48 @@ def test_malformed_surface_decoration_exits_2(capsys, tmp_path, command, level, 
 @pytest.mark.parametrize(
     "argv",
     [["topo", "homology", "{dir}"], ["topo", "homology", "{bin}"], ["nc", "chi", "{bin}"],
-     ["cubic", "show", "{bin}"], ["cubic", "make", "--out", "{dir}"], ["obs", "data", "{dir}"]],
-    ids=["topo-dir", "topo-binary", "nc-binary", "cubic-binary", "cubic-out-dir", "obs-dir"],
+     ["cubic", "show", "{bin}"], ["cubic", "make", "--out", "{dir}"], ["obs", "data", "{dir}"],
+     ["topo", "euler", "{deep}"], ["cubic", "validate", "{deep}"]],
+    ids=["topo-dir", "topo-binary", "nc-binary", "cubic-binary", "cubic-out-dir", "obs-dir", "topo-deep-nesting",
+         "cubic-deep-nesting"],
 )
 def test_unreadable_input_exits_2(capsys, tmp_path, argv):
-    binary = tmp_path / "binary.json"
+    binary, deep = tmp_path / "binary.json", tmp_path / "deep.json"
     binary.write_bytes(b"\xff\xfe\x00not text")
-    argv = [a.format(dir=tmp_path, bin=binary) for a in argv]
+    deep.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the JSON parser's recursion
+    argv = [a.format(dir=tmp_path, bin=binary, deep=deep) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cubic", "make", "{missing}"], ["cubic", "random", "{valid}", "--seed", "3"],
+     ["obs", "consistency", "{missing}", "--family-size", "2"], ["obs", "consistency", "{valid}"],
+     ["obs", "scan", "{dir}"], ["obs", "scan", "{valid}", "--targets", "1"],
+     ["topo", "euler", "--builtin", "circle", "{circle}"], ["topo", "homology", "{missing}", "--builtin", "circle"],
+     ["nc", "chi", "--builtin", "two-planes", "{missing}"], ["nc", "pic0", "{dir}", "--builtin", "two-planes"]],
+    ids=["cubic-make-missing", "cubic-random-valid", "obs-consistency-missing", "obs-consistency-valid",
+         "obs-scan-dir", "obs-scan-valid", "topo-builtin-and-file", "topo-builtin-and-missing",
+         "nc-builtin-and-missing", "nc-builtin-and-dir"],
+)
+def test_file_the_command_does_not_read_exits_2(capsys, tmp_path, monkeypatch, argv):
+    valid, circle = tmp_path / "construct.json", tmp_path / "circle.json"
+    run(capsys, "cubic", "random", "--seed", "6", "--out", str(valid))
+    circle.write_text(json.dumps(CIRCLE))
+
+    def computed(*args, **kwargs):
+        raise AssertionError("the command computed before refusing its FILE")
+
+    for module, name in ((cubics, "random_construct"), (obstruction, "seeded_family"),
+                         (obstruction, "surjectivity_scan"), (simplicial, "builtin_complex"),
+                         (ncgeom, "builtin_surface")):
+        monkeypatch.setattr(module, name, computed)
+    paths = {"missing": tmp_path / "no-such.json", "valid": valid, "circle": circle, "dir": tmp_path}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "does not read FILE" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -219,8 +259,9 @@ def test_construct_round_trip_and_obs_data(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "obs", "data", str(path), "--json")
     assert code == 0
-    rep = json.loads(out)["report"]
-    assert rep["residual_divisor_orders"] == [1, 1, 1]
+    assert json.loads(out)["report"]["residual_divisor_orders"] == [1, 1, 1]
+    # the input tag is the digest of the bytes the command read
+    assert json.loads(out)["input"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

@@ -14,6 +14,7 @@ from dualcx.ncgeom import (
     Stratum,
     NCSurfaceDescription,
     builtin_surface,
+    curve_graph,
     dual_complex,
     duncehat_curve_graph,
     duncehat_surface_description,
@@ -152,6 +153,15 @@ def test_numerical_invariants():
         numerical_invariants(4, 0, 1)
     with pytest.raises(ValidationError):
         numerical_invariants(-1, 0, 0)
+
+
+def test_curve_graph_is_derived_from_the_surface():
+    # the dunce-hat surface's one double curve runs through its triple point three times
+    assert duncehat_curve_graph() == CurveIncidenceGraph(1, (3,), ((0, 0), (0, 0), (0, 0)))
+    three = curve_graph(builtin_surface("three-planes"))
+    assert (three.num_components, three.point_multiplicities) == (3, (3,))
+    assert sorted(three.edges) == [(0, 0), (1, 0), (2, 0)]
+    assert curve_graph(builtin_surface("two-planes")) == CurveIncidenceGraph(1, (), ())
 
 
 def test_pic_torus_dimensions():
