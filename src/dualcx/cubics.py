@@ -55,15 +55,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import DualcxError, GuardError, ValidationError
 from .numerics import (
     INF,
     DEFAULT_TOL,
     Mobius,
     Poly,
     Tolerances,
-    _poly_roots_many,
-    aberth_roots,
+    _caught,
+    _multiset,
+    _solves,
+    _used,
+    aberth_roots,  # not called here; bench/test_bench.py checks that the tracer rebinds this alias
     chordal,
     is_inf,
     mobius_from_triple,
@@ -240,35 +243,41 @@ _CUBE_TO_MONOMIAL = np.array(
 )
 
 
-def _moving_lines(gamma: CubicMap) -> tuple[np.ndarray, np.ndarray]:
-    """The mu-basis of the map: rows (a, b) and (q0, q1, q2).
+def _moving_lines(gammas: list[CubicMap]) -> list:
+    """The mu-basis of each map: rows (a, b) and (q0, q1, q2), or the map's
+    ``GuardError`` in its place.
 
     The moving lines p(t) = a + t b and q(t) = q0 + t q1 + t^2 q2 satisfy
     p(t) . gamma(t) = q(t) . gamma(t) = 0 identically.  p spans the
     nullspace of the 5 x 6 coefficient system; q spans the nullspace of
     the 6 x 9 one after two rows make it orthogonal to p and t p.  A
     degree-1 nullspace of dimension above one means the coordinates share
-    a factor (the image is a conic, a line or a point).
+    a factor (the image is a conic, a line or a point).  Each SVD runs once
+    over the stack of maps; a stacked ``np.linalg.svd`` is the one-matrix
+    call, bit for bit.
     """
-    c = np.zeros((4, 3), dtype=complex)  # row k: the t^k coefficients of (X, Y, W)
-    for col, coord in enumerate((gamma.x, gamma.y, gamma.w)):
-        c[: len(coord.coef), col] = coord.coef
+    c = np.zeros((len(gammas), 4, 3), dtype=complex)  # row k: the t^k coefficients of (X, Y, W)
+    for table, gamma in zip(c, gammas):
+        for col, coord in enumerate((gamma.x, gamma.y, gamma.w)):
+            table[: len(coord.coef), col] = coord.coef
 
     def system(degree: int) -> np.ndarray:
         # row j: the t^j coefficient of sum_i line_i . c[j - i]
-        m = np.zeros((4 + degree, 3 * degree + 3), dtype=complex)
+        m = np.zeros((len(gammas), 4 + degree, 3 * degree + 3), dtype=complex)
         for i in range(degree + 1):
-            m[i : i + 4, 3 * i : 3 * i + 3] = c
+            m[:, i : i + 4, 3 * i : 3 * i + 3] = c
         return m
 
     _, s, vh = np.linalg.svd(system(1))
-    if s[4] <= 1e-6 * s[0]:
-        raise GuardError("degenerate-parametrization", "implicit nullspace has dimension above one")
-    p = np.conj(vh[5])
-    span_p = np.zeros((2, 9), dtype=complex)
-    span_p[0, :6] = span_p[1, 3:] = vh[5]  # conjugate rows: orthogonal to (p, 0) and (0, p)
-    q = np.conj(np.linalg.svd(np.vstack([system(2), span_p]))[2][8])
-    return p.reshape(2, 3), q.reshape(3, 3)
+    span_p = np.zeros((len(gammas), 2, 9), dtype=complex)
+    span_p[:, 0, :6] = span_p[:, 1, 3:] = vh[:, 5]  # conjugate rows: orthogonal to (p, 0) and (0, p)
+    q = np.conj(np.linalg.svd(np.concatenate([system(2), span_p], axis=1))[2][:, 8])
+    p = np.conj(vh[:, 5])
+    return [
+        GuardError("degenerate-parametrization", "implicit nullspace has dimension above one")
+        if s[k, 4] <= 1e-6 * s[k, 0] else (p[k].reshape(2, 3), q[k].reshape(3, 3))
+        for k in range(len(gammas))
+    ]
 
 
 def implicitize(gamma: CubicMap) -> TernaryCubic:
@@ -278,7 +287,12 @@ def implicitize(gamma: CubicMap) -> TernaryCubic:
     a sum of products of linear forms, collected into ``MONOMIALS`` order.
     The held-out ``implicit_residual`` check tests the result independently.
     """
-    (a, b), q = _moving_lines(gamma)
+    return _implicit_form(gamma, _moving_lines([gamma])[0])
+
+
+def _implicit_form(gamma: CubicMap, lines) -> TernaryCubic:
+    """:func:`implicitize` from the map's :func:`_moving_lines` row."""
+    (a, b), q = _used(lines)
     coef = _CUBE_TO_MONOMIAL @ np.einsum("ni,nj,nk->ijk", np.array([b, a, a]), np.array([b, -b, a]), q).ravel()
     f = TernaryCubic(coef / np.linalg.norm(coef))
     check = implicit_residual(gamma, f)
@@ -302,7 +316,7 @@ def find_node(gamma: CubicMap) -> tuple[complex, complex]:
     parameters are the roots of the quadratic q(t) . N.  A double root (a
     cusp) or a root at the infinite parameter is rejected.
     """
-    (a, b), q = _moving_lines(gamma)
+    (a, b), q = _used(_moving_lines([gamma])[0])
     roots = np.roots((q @ np.cross(a, b))[::-1])
     if len(roots) != 2:
         raise GuardError("not-one-node", "a node preimage sits at the infinite parameter")
@@ -316,6 +330,10 @@ def find_node(gamma: CubicMap) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
+# the flex solves' own backward-error target; ``Tolerances`` does not reach it
+FLEX_ROOT_TOL = 1e-9
+
+
 def flexes(gamma: CubicMap, node: tuple[complex, complex] | None = None) -> tuple[complex, complex, complex]:
     """The three smooth flex parameters (possibly including INF).
 
@@ -323,14 +341,26 @@ def flexes(gamma: CubicMap, node: tuple[complex, complex] | None = None) -> tupl
     missing flexes sit at the infinite parameter.  Flexes colliding with
     each other or with the node preimages reject the input as non-generic.
     """
+    w3 = _inflection_form(gamma)
+    return _flex_params(w3, _solves([w3], FLEX_ROOT_TOL, 400)[0], node)
+
+
+def _inflection_form(gamma: CubicMap) -> Poly:
+    """The map's Wronskian, guarded before its roots are solved for."""
     w3 = gamma.wronskian()
     if w3.is_zero():
         raise GuardError("degenerate-parametrization", "inflection form vanishes identically")
-    d = w3.degree
-    if d > 3:
+    if w3.degree > 3:
         raise GuardError("degenerate-parametrization", "inflection form of degree above three")
-    roots = list(aberth_roots(w3, tol=1e-9)) if d >= 1 else []
-    roots += [INF] * (3 - d)
+    if w3.degree == 0:  # all three flexes at the infinite parameter
+        raise GuardError("flex-collision", "coincident flexes (non-generic cubic)")
+    return w3
+
+
+def _flex_params(w3: Poly, solved, node) -> tuple[complex, complex, complex]:
+    """The guarded flexes of :func:`flexes` from the inflection form and its solve."""
+    zero_mult, _, rest, _ = _used(solved)
+    roots = [0j] * zero_mult + rest + [INF] * (3 - w3.degree)
     if len(roots) != 3:
         raise GuardError("flex-count", f"found {len(roots)} flex parameters")
     for i in range(3):
@@ -516,13 +546,36 @@ def intersect(p: NodalCubic, q: NodalCubic, tol: Tolerances = DEFAULT_TOL) -> tu
     Roots of f_Q(gamma_P(t)) matched against roots of f_P(gamma_Q(s)) by
     nearest image point.  Bezout gives nine with multiplicity; clustered
     roots (tangencies) and ambiguous matchings are rejections, not
-    warnings.
+    warnings.  A batch of one in :func:`_intersections`.
     """
+    return _used(_intersections([(p, q)], tol)[0])
+
+
+def _intersections(pairs: list[tuple[NodalCubic, NodalCubic]], tol: Tolerances) -> list:
+    """:func:`intersect` of every pair, each row's result or its error in its
+    place: gather both degree-9 compositions per pair, solve all of them in
+    one :func:`_solves` call, then match each pair's roots."""
+    polys = [_caught(_intersection_polys, p, q) for p, q in pairs]  # either cubic may be a row's error
+    solved = iter(_solves([f for fs in polys if not isinstance(fs, DualcxError) for f in fs], tol.root_residual, 400))
+    return [
+        fs if isinstance(fs, DualcxError) else _caught(_matched, p, q, next(solved), next(solved))
+        for (p, q), fs in zip(pairs, polys)
+    ]
+
+
+def _intersection_polys(p: NodalCubic, q: NodalCubic) -> tuple[Poly, Poly]:
+    """f_Q along gamma_P and f_P along gamma_Q, each of degree nine."""
+    p, q = _used(p), _used(q)
     fq_on_p = q.f.compose_map(p.gamma).trim(rel=1e-12)
     fp_on_q = p.f.compose_map(q.gamma).trim(rel=1e-12)
     if fq_on_p.degree != 9 or fp_on_q.degree != 9:
         raise GuardError("infinity-intersection", "an intersection point sits at the infinite parameter")
-    ts, ss = _poly_roots_many([fq_on_p, fp_on_q], tol=tol.root_residual)
+    return fq_on_p, fp_on_q
+
+
+def _matched(p: NodalCubic, q: NodalCubic, solved_t, solved_s) -> tuple[tuple[complex, complex], ...]:
+    """The guarded pairs of :func:`intersect` from the solves of its two compositions."""
+    ts, ss = _multiset(*_used(solved_t)), _multiset(*_used(solved_s))
     if any(m > 1 for _, m in ts) or any(m > 1 for _, m in ss) or len(ts) != 9 or len(ss) != 9:
         raise GuardError("tangency", "clustered intersection parameters (tangential pair)")
     pts_p = _images(p.gamma, [t for t, _ in ts])
@@ -870,16 +923,37 @@ def transport_cubic(cubic: NodalCubic, a: AffineMapPlane) -> NodalCubic:
     and residue-normalized at the first node preimage, so the rebuild
     checks the moved equation independently of the original one.  Node
     parameters and flex parameters are untouched by construction; flexes
-    are re-derived and matched as an assertion.
+    are re-derived and matched as an assertion.  A batch of one in
+    :func:`_transports`.
     """
-    g2 = cubic.gamma.transformed(a.homogeneous())
-    f2 = normalize_residue(g2, implicitize(g2), cubic.node[0])
-    flex2 = flexes(g2, node=cubic.node)
-    psi2 = None
-    for phi in flex2:
-        if chordal(phi, cubic.psi) <= 1e-6:
-            psi2 = phi
-            break
+    return _used(_transports([(cubic, a)])[0])
+
+
+def _transports(moves: list[tuple[NodalCubic, AffineMapPlane]]) -> list:
+    """:func:`transport_cubic` of every (cubic, map), each row's moved cubic
+    or its error in its place: the moved maps' mu-bases in one stack, their
+    flexes in one :func:`_solves` call, then each row's guards in order."""
+    maps = [cubic.gamma.transformed(a.homogeneous()) for cubic, a in moves]
+    forms = [
+        _caught(_moved_forms, g2, lines, cubic.node[0])
+        for (cubic, _), g2, lines in zip(moves, maps, _moving_lines(maps))
+    ]
+    solved = iter(_solves([row[1] for row in forms if not isinstance(row, DualcxError)], FLEX_ROOT_TOL, 400))
+    return [
+        row if isinstance(row, DualcxError) else _caught(_transported, cubic, g2, *row, next(solved))
+        for (cubic, _), g2, row in zip(moves, maps, forms)
+    ]
+
+
+def _moved_forms(g2: CubicMap, lines, u: complex) -> tuple[TernaryCubic, Poly]:
+    """A moved map's implicit form, residue-normalized at ``u``, and its inflection form."""
+    return normalize_residue(g2, _implicit_form(g2, lines), u), _inflection_form(g2)
+
+
+def _transported(cubic: NodalCubic, g2: CubicMap, f2: TernaryCubic, w3: Poly, solved) -> NodalCubic:
+    """The moved cubic, its flexes guarded and its chosen flex tracked."""
+    flex2 = _flex_params(w3, solved, cubic.node)
+    psi2 = next((phi for phi in flex2 if chordal(phi, cubic.psi) <= 1e-6), None)
     if psi2 is None:
         raise GuardError("flex-tracking", "flex parameters moved under an affine transport")
     tau2 = mobius_from_triple(cubic.node[0], cubic.node[1], psi2)
@@ -894,13 +968,17 @@ def transport_cubic(cubic: NodalCubic, a: AffineMapPlane) -> NodalCubic:
 MARKS_DRIFT_TOL = 1e-8
 
 
-def _rebuild_after_move(c: Construct, p2: NodalCubic, q2: NodalCubic, n_expected: np.ndarray, tol: Tolerances) -> Construct:
-    """Re-intersect a moved pair and re-identify the chosen intersection.
+def _rebuild_after_move(
+    c: Construct, p2: NodalCubic, q2: NodalCubic, inters, n_expected: np.ndarray, tol: Tolerances
+) -> Construct:
+    """Re-identify the chosen intersection among ``inters``, the moved pair's
+    ``intersect(p2, q2, tol)`` or its error (which raises here), and rebuild
+    the construct.
 
     ``n_expected`` is where the chosen intersection point must now lie.
     The nearest image must be unambiguous and the marks must not drift.
     """
-    inters = intersect(p2, q2, tol)
+    inters = _used(inters)
     dist = np.linalg.norm(_images(p2.gamma, [t for t, _ in inters]) - n_expected, axis=1)
     kbest, ksecond = np.argsort(dist, kind="stable")[:2]
     best = dist[kbest]
@@ -921,9 +999,36 @@ def affine_family(
     and re-matches the chosen one by nearest image; n_p and n_q are
     asserted unchanged up to MARKS_DRIFT_TOL, since the identification
     point is fixed and all special parameters transport with the curve.
-    Every root solve and guard of the rebuild runs under ``tol``.
+    Every root solve and guard of the rebuild runs under ``tol``.  A batch
+    of one in :func:`_affine_moves`.
     """
-    a = direction.map_at(eps)
-    if direction.side == "Q":
-        return _rebuild_after_move(c, c.p, transport_cubic(c.q, a), c.n_point, tol)
-    return _rebuild_after_move(c, transport_cubic(c.p, a), c.q, c.n_point, tol)
+    return _used(_affine_moves(c, [((direction, eps),)], tol)[0])
+
+
+def _affine_moves(c: Construct, moves, tol: Tolerances) -> list:
+    """``affine_family`` chained along each move, all moves built as one batch.
+
+    A move is a sequence of (direction, eps) steps on distinct sides: step
+    k moves its side of step k-1's member (``c`` for the first), as nested
+    ``affine_family`` calls do.  A step moves ``c``'s own cubic, so no step
+    waits for the one before it: every step's transport goes into one flex
+    stack and every step's moved pair into one degree-9 intersection stack.
+    Each move then re-identifies its steps in order against the previous
+    member; its result is its last member or its first error, in its place.
+    """
+    moved = iter(_transports([(c.q if d.side == "Q" else c.p, d.map_at(eps)) for move in moves for d, eps in move]))
+    pairs = []
+    for move in moves:
+        p2, q2 = c.p, c.q
+        for d, _ in move:
+            p2, q2 = (p2, next(moved)) if d.side == "Q" else (next(moved), q2)
+            pairs.append((p2, q2))
+    found = iter(zip(pairs, _intersections(pairs, tol)))
+    out = []
+    for move in moves:
+        member = c
+        for (p2, q2), inters in itertools.islice(found, len(move)):
+            if not isinstance(member, DualcxError):
+                member = _caught(_rebuild_after_move, member, p2, q2, inters, member.n_point, tol)
+        out.append(member)
+    return out

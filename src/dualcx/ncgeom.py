@@ -451,8 +451,6 @@ class CurveIncidenceGraph:
     edges: tuple[tuple[int, int], ...]
 
     def validate(self) -> None:
-        if self.num_components < 1:
-            raise ValidationError("need at least one component")
         for j, m in enumerate(self.point_multiplicities):
             if m < 2:
                 raise ValidationError(f"point {j} has multiplicity {m} < 2")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GuardError, RootFindingError, ValidationError
+from .errors import DualcxError, GuardError, RootFindingError, ValidationError
 
 INF = complex(float("inf"), 0.0)
 
@@ -113,6 +113,16 @@ class Poly:
             raise ValidationError(f"degree {arr.size - 1} exceeds supported maximum {MAX_POLY_DEGREE}")
         self.coef = arr
 
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> "Poly":
+        """An arithmetic result: ``arr`` is a 1-d nonempty complex array
+        already, so only the degree bound is checked."""
+        if arr.size - 1 > MAX_POLY_DEGREE:
+            return cls(arr)  # raises the bound's error
+        p = cls.__new__(cls)
+        p.coef = arr
+        return p
+
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -128,7 +138,7 @@ class Poly:
         k = len(c)
         while k > 1 and abs(c[k - 1]) <= rel * scale:
             k -= 1
-        return Poly(c[:k])
+        return Poly._of(c[:k])
 
     def is_zero(self, rel: float = 1e-13) -> bool:
         return bool(np.all(np.abs(self.coef) <= rel * max(1.0, float(np.max(np.abs(self.coef)))))) or float(
@@ -152,7 +162,7 @@ class Poly:
         if len(self.coef) == 1:
             return Poly([0.0])
         k = np.arange(1, len(self.coef))
-        return Poly(self.coef[1:] * k)
+        return Poly._of(self.coef[1:] * k)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -162,18 +172,18 @@ class Poly:
         a = np.zeros(n, dtype=complex)
         a[: len(self.coef)] += self.coef
         a[: len(other.coef)] += other.coef
-        return Poly(a)
+        return Poly._of(a)
 
     def __neg__(self) -> "Poly":
-        return Poly(-self.coef)
+        return Poly._of(-self.coef)
 
     def __sub__(self, other) -> "Poly":
         return self + (-(other if isinstance(other, Poly) else Poly([other])))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            return Poly(np.convolve(self.coef, other.coef))
-        return Poly(self.coef * other)
+            return Poly._of(np.convolve(self.coef, other.coef))
+        return Poly._of(self.coef * other)
 
     __rmul__ = __mul__
 
@@ -208,7 +218,7 @@ def _peel_zeros(p: Poly) -> tuple[int, Poly]:
     k = 0
     while k < q.degree and q.coef[k] == 0:
         k += 1
-    return k, Poly(q.coef[k:])
+    return k, Poly._of(q.coef[k:])
 
 
 def _disk_gaps(lead, z: np.ndarray, qz: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -249,15 +259,24 @@ def aberth_roots(p: Poly, tol: float | None = None, max_iter: int = 400) -> list
     certificate in ``max_iter`` sweeps :class:`RootFindingError` is raised.
     One call is a batch of one in :func:`_solves`.
     """
-    zero_mult, _, roots, _ = _solved(_solves([p], tol, max_iter)[0])
+    zero_mult, _, roots, _ = _used(_solves([p], tol, max_iter)[0])
     return [0j] * zero_mult + roots
 
 
-def _solved(result):
-    """A result of :func:`_solves` where it is used: its failure raises here."""
-    if isinstance(result, RootFindingError):
+def _used(result):
+    """A batch row's result where it is used: an error returned in its place
+    (a failed solve, a rejected construct) raises here."""
+    if isinstance(result, DualcxError):
         raise result
     return result
+
+
+def _caught(fn, *args):
+    """``fn(*args)``, or the library error it raised, as a batch row's result."""
+    try:
+        return fn(*args)
+    except DualcxError as exc:
+        return exc
 
 
 def _solves(ps: list[Poly], tol: float | None, max_iter: int) -> list:
@@ -396,15 +415,9 @@ def poly_roots(p: Poly, tol: float | None = None) -> list[tuple[complex, int]]:
     other is a simple root at its approximant.  Roots the sweeps already
     proved simple by disjoint disks skip the second disk test: its scale
     has no floor, so its gaps are no smaller.  One call is a batch of one
-    in :func:`_poly_roots_many`.
+    in :func:`_solves`.
     """
-    return _poly_roots_many([p], tol)[0]
-
-
-def _poly_roots_many(ps: list[Poly], tol: float | None = None) -> list[list[tuple[complex, int]]]:
-    """:func:`poly_roots` of every ``p``, solved in one :func:`_solves` batch;
-    the first failed solve, in the order of ``ps``, raises."""
-    return [_multiset(*_solved(result)) for result in _solves(ps, tol, 400)]
+    return _multiset(*_used(_solves([p], tol, 400)[0]))
 
 
 def _multiset(zero_mult: int, q: Poly, roots: list[complex], simple: bool) -> list[tuple[complex, int]]:

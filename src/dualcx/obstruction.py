@@ -64,8 +64,8 @@ from .numerics import (
     Poly,
     Tolerances,
     _chordal_matrix,
-    _solved,
     _solves,
+    _used,
     aberth_roots,  # not called here; bench/test_bench.py checks that the tracer rebinds this alias
     chordal,
     is_inf,
@@ -75,9 +75,10 @@ from .cubics import (
     MARKS_DRIFT_TOL,
     Construct,
     NodalCubic,
+    _affine_moves,
     _partial_composed,
     affine_direction,
-    affine_family,
+    affine_family,  # not called here; bench/test_bench.py checks that the tracer rebinds this alias
     omega,
     random_construct,
 )
@@ -267,7 +268,7 @@ def closed_form_data(c: Construct) -> tuple[JPoint, SBGValues, GluingTriple]:
 def _poly_div(q: Poly, solved) -> Divisor:
     """Divisor of the trimmed polynomial ``q`` as a rational function
     (infinity by degree), from its result of :func:`_solves`."""
-    zero_mult, _, roots, _ = _solved(solved)
+    zero_mult, _, roots, _ = _used(solved)
     return Divisor([(0j, 1)] * zero_mult + [(z, 1) for z in roots] + [(INF, -q.degree)])
 
 
@@ -562,8 +563,11 @@ MAX_REJECTED_MOVES = 40
 def seeded_family(seed: int, size: int, tol: Tolerances = DEFAULT_TOL) -> list[Construct]:
     """A fixed-(n_p, n_q) family: random small moves on both sides.
 
-    Raises GuardError("sampling-exhausted") once MAX_REJECTED_MOVES moves
-    have been rejected by the rebuild guards.
+    A member is ``affine_family(affine_family(base, dir_p, ep), dir_q, eq)``.
+    Each round draws the missing moves (ep, eq) as a one-by-one loop would,
+    builds them as one batch of ``cubics._affine_moves`` and accepts them in
+    order.  Raises GuardError("sampling-exhausted") once MAX_REJECTED_MOVES
+    moves have been rejected by the rebuild guards.
     """
     base = random_construct(seed, tol)
     rng = np.random.default_rng(seed + 777)
@@ -572,19 +576,19 @@ def seeded_family(seed: int, size: int, tol: Tolerances = DEFAULT_TOL) -> list[C
     out = [base]
     rejected = 0
     while len(out) < size:
-        ep = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
-        eq = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
-        try:
-            member = affine_family(affine_family(base, dir_p, ep, tol=tol), dir_q, eq, tol=tol)
-        except GuardError as exc:
+        moves = []
+        for _ in range(size - len(out)):
+            ep = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
+            eq = 0.05 * complex(rng.standard_normal() + 1j * rng.standard_normal())
+            moves.append(((dir_p, ep), (dir_q, eq)))
+        for member in _affine_moves(base, moves, tol):
+            if not isinstance(member, GuardError):
+                out.append(_used(member))
+                continue
             rejected += 1
             if rejected >= MAX_REJECTED_MOVES:
-                raise GuardError(
-                    "sampling-exhausted",
-                    f"{rejected} family moves rejected (seed {seed}, last: {exc.reason})",
-                ) from exc
-            continue
-        out.append(member)
+                message = f"{rejected} family moves rejected (seed {seed}, last: {member.reason})"
+                raise GuardError("sampling-exhausted", message) from member
     return out
 
 
@@ -662,14 +666,14 @@ class FamilyClassMap:
 def _rebuilt_offset(c: Construct, cmap: FamilyClassMap, base: JPoint, x: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The class offset at x re-derived from scratch: two guarded rebuilds.
 
-    The slow route that certifies the explicit map: ``affine_family``
-    re-solves the intersections and runs every construct guard under
-    ``tol``, and ``closed_form_data`` reads the class off the result.
+    The slow route that certifies the explicit map: the ``affine_family``
+    moves of P, then Q (a side at eps = 0 stays), as one move of
+    ``cubics._affine_moves``, re-solve the intersections and run every
+    construct guard under ``tol``; ``closed_form_data`` reads the class off
+    the result.
     """
-    member = c
-    for direction, eps in ((cmap.dir_p, complex(x[0], x[1])), (cmap.dir_q, complex(x[2], x[3]))):
-        if eps != 0:
-            member = affine_family(member, direction, eps, tol=tol)
+    steps = ((cmap.dir_p, complex(x[0], x[1])), (cmap.dir_q, complex(x[2], x[3])))
+    member = _used(_affine_moves(c, [[(d, eps) for d, eps in steps if eps != 0]], tol)[0])
     return JPoint(*closed_form_data(member)[0].ratio(base)).log()
 
 

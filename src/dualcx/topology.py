@@ -212,16 +212,6 @@ class IntegerChainComplex:
                 if any(image.values()):
                     raise ValidationError(f"boundary squared is nonzero in degree {n}")
 
-    def boundary_matrix(self, n: int) -> list[list[int]]:
-        """d_n as dense rows; empty outside degrees 1 .. top."""
-        if not 0 < n < len(self.ranks):
-            return []
-        rows = [[0] * self.ranks[n] for _ in range(self.ranks[n - 1])]
-        for i, col in enumerate(self.boundaries[n]):
-            for r, a in col.items():
-                rows[r][i] = a
-        return rows
-
 
 def _injection_parity(inj: tuple, deleted: int, dim: int) -> int:
     """Sign of the injection as a permutation of the target slot order."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualcx.cubics import AffineMapPlane, _rebuild_after_move, transport_cubic
+from dualcx.cubics import AffineMapPlane, _rebuild_after_move, intersect, transport_cubic
 from dualcx.numerics import DEFAULT_TOL
 
 
@@ -11,6 +11,7 @@ def transport_construct():
     """Apply one affine map to the whole construct (both cubics and b)."""
 
     def transport(c, a: AffineMapPlane):
-        return _rebuild_after_move(c, transport_cubic(c.p, a), transport_cubic(c.q, a), a(c.n_point), DEFAULT_TOL)
+        p2, q2 = transport_cubic(c.p, a), transport_cubic(c.q, a)
+        return _rebuild_after_move(c, p2, q2, intersect(p2, q2), a(c.n_point), DEFAULT_TOL)
 
     return transport

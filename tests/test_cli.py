@@ -400,6 +400,18 @@ def test_pic0_subcommand(capsys):
     assert rep["torus_dimension"] == 2 and rep["graph_betti_1"] == 2
 
 
+def test_pic0_of_a_surface_without_double_curves(capsys, tmp_path):
+    # an empty singular curve glues nothing: a zero-dimensional torus, as
+    # nc dual-complex reads the same file without complaint
+    path = tmp_path / "one-plane.json"
+    path.write_text(json.dumps({**NCSURF, "strata": [[{"branches": 1}]]}))
+    assert run(capsys, "nc", "dual-complex", str(path), "--json")[0] == 0
+    code, out, err = run(capsys, "nc", "pic0", str(path), "--json")
+    assert code == 0, err
+    rep = json.loads(out)["report"]
+    assert (rep["components"], rep["point_multiplicities"], rep["torus_dimension"], rep["graph_betti_1"]) == (0, [], 0, 0)
+
+
 def test_scan_subcommand(capsys):
     code, out, _ = run(capsys, "obs", "scan", "--seed", "5", "--targets", "1", "--json")
     assert code == 0

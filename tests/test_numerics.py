@@ -49,6 +49,21 @@ def test_one_point_evaluation_is_polyval_bitwise():
             assert np.array(p(t)).tobytes() == np.array(want).tobytes(), (coef, t)
 
 
+def test_arithmetic_results_need_no_revalidation():
+    # results skip Poly's coefficient validation: each is already the 1-d
+    # complex array that validation would return unchanged, so no bit moves;
+    # the degree bound still holds
+    p, q = Poly([1, 2, 3]), Poly([0.5j, -0.0, 2.0, 1e-20])
+    results = [p * q, p * 2.5j, 3 * q, q * np.float64(0.5), p + q, p + 1, -q, p - 1, q.derivative(),
+               Poly([4]).derivative(), q.trim(), (p * 0).trim(), p ** 3]
+    for got in results:
+        assert got.coef.dtype == complex and got.coef.ndim == 1 and got.coef.size
+        assert np.atleast_1d(np.asarray(got.coef, dtype=complex)) is got.coef
+    big = Poly(np.ones(40))
+    with pytest.raises(ValidationError, match="exceeds supported maximum 64"):
+        big * big
+
+
 def test_cube_roots_of_unity():
     roots = poly_roots(Poly([-1, 0, 0, 1]))
     assert sorted_roots(roots) == [((-0.5, -0.866025), 1), ((-0.5, 0.866025), 1), ((1.0, -0.0), 1)]

@@ -65,12 +65,23 @@ def groups(x):
     return [(h.betti, h.torsion) for h in homology(x)]
 
 
+def boundary_matrix(cc: IntegerChainComplex, n: int) -> list[list[int]]:
+    """d_n of ``cc`` as dense rows; empty outside degrees 1 .. top."""
+    if not 0 < n < len(cc.ranks):
+        return []
+    rows = [[0] * cc.ranks[n] for _ in range(cc.ranks[n - 1])]
+    for i, col in enumerate(cc.boundaries[n]):
+        for r, a in col.items():
+            rows[r][i] = a
+    return rows
+
+
 def test_chain_complexes_of_the_key_examples():
     cc = chain_complex(make_duncehat())
-    assert cc.boundary_matrix(2) == [[1]]
-    assert cc.boundary_matrix(1) == [[0]]
+    assert boundary_matrix(cc, 2) == [[1]]
+    assert boundary_matrix(cc, 1) == [[0]]
     cyc = chain_complex(make_cyclic_triangle())
-    assert abs(cyc.boundary_matrix(2)[0][0]) == 3
+    assert abs(boundary_matrix(cyc, 2)[0][0]) == 3
 
 
 def test_cyclic_boundary_sign_oracle():
@@ -85,7 +96,7 @@ def test_cyclic_boundary_sign_oracle():
         parity = 1 if images == sorted(images) else -1
         total += (-1) ** k * parity
     assert abs(total) == 3
-    assert chain_complex(t).boundary_matrix(2)[0][0] == total
+    assert boundary_matrix(chain_complex(t), 2)[0][0] == total
 
 
 def test_homology_of_builtins():
@@ -755,7 +766,7 @@ def _dense_groups(x):
     """Homology from the Smith normal forms of the dense boundary matrices."""
     cc = chain_complex(x)
     top = len(cc.ranks)
-    factors = [(0, ())] + [_dense_rank_and_torsion(cc.boundary_matrix(n)) for n in range(1, top)] + [(0, ())]
+    factors = [(0, ())] + [_dense_rank_and_torsion(boundary_matrix(cc, n)) for n in range(1, top)] + [(0, ())]
     return [(cc.ranks[n] - factors[n][0] - factors[n + 1][0], factors[n + 1][1]) for n in range(top)]
 
 
@@ -801,8 +812,8 @@ def test_chain_complex_checks_shapes_and_square_zero():
     with pytest.raises(ValidationError, match="shape"):
         IntegerChainComplex(ranks=(1, 1), boundaries=((), ({1: 1},)))
     cc = chain_complex(make_tetrahedron_boundary())
-    assert cc.boundary_matrix(0) == [] and cc.boundary_matrix(3) == []
-    assert [len(cc.boundary_matrix(n)) for n in (1, 2)] == [4, 6]
+    assert boundary_matrix(cc, 0) == [] and boundary_matrix(cc, 3) == []
+    assert [len(boundary_matrix(cc, n)) for n in (1, 2)] == [4, 6]
 
 
 def test_one_conversion_per_complex(monkeypatch):
