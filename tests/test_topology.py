@@ -2,17 +2,17 @@
 
 import gc
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 
 import numpy as np
 import pytest
 
 from dualcx import accept, simplicial
 from dualcx.errors import BudgetError, ValidationError
-from dualcx.ncgeom import pic0_structure
+from dualcx.ncgeom import BUILTIN_SURFACES, dual_complex, pic0_structure
 from dualcx.simplicial import (
     BUILTIN_COMPLEXES,
     SemiSimplicialSet,
@@ -38,11 +38,14 @@ from dualcx.topology import (
     _eliminations,
     _greedy_pass,
     _start_presentation,
+    _substitute,
     barycentric_subdivision,
     chain_complex,
+    cyclic_reduce,
     edge_path_presentation,
     euler_characteristic,
     free_faces,
+    free_reduce,
     homology,
     is_collapsible,
     lattice_span_index,
@@ -300,6 +303,40 @@ def test_lattice_span_index():
     assert lattice_span_index([(1, 0), (0, 1), (-1, -1)]) == 1
     assert lattice_span_index([(2, 0), (0, 2)]) == 4
     assert lattice_span_index([(1, 1)]) == 0
+
+
+def _reference_lattice_span_index(vectors) -> int:
+    """The product of the dense Smith diagonal of the stacked rows; 0 if rank-deficient."""
+    rows = [list(map(int, v)) for v in vectors]
+    if not rows:
+        raise ValidationError("lattice_span_index needs at least one vector")
+    n = len(rows[0])
+    D, _, _ = smith_normal_form(rows)
+    divisors = [D[i][i] for i in range(min(len(rows), n))]
+    if len([d for d in divisors if d != 0]) < n:
+        return 0
+    idx = 1
+    for d in divisors[:n]:
+        idx *= d
+    return idx
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the message of the ValidationError it raises."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return f"ValidationError: {err}"
+
+
+def test_lattice_span_index_matches_the_dense_smith_product():
+    cases = _smith_oracle_cases()
+    full = 0
+    for matrix in cases:
+        got = _outcome(lattice_span_index, matrix)
+        assert got == _outcome(_reference_lattice_span_index, matrix), matrix
+        full += got not in (0, 1) and isinstance(got, int)
+    assert full > 300  # many cases have a full-rank lattice of index above one
 
 
 def test_free_faces():
@@ -912,9 +949,27 @@ def _reference_greedy_pass(p: GroupPresentation):
     moves = []
     while (best := _reference_greedy_elimination(p)) is not None:
         _, gen, value = best
-        p = _drop_generator(p, gen, value)
+        p = _reference_drop_generator(p, gen, value)
         moves.append(("eliminate", gen, value))
     return p, moves
+
+
+def _reference_drop_generator(p: GroupPresentation, gen: int, value: tuple[int, ...]) -> GroupPresentation:
+    """Substitute gen := value everywhere, then renumber generators densely through a remap dict."""
+    rels = []
+    for rel in p.relators:
+        w = cyclic_reduce(_substitute(rel, gen, value))
+        if w:
+            rels.append(w)
+    remap = {}
+    k = 0
+    for old in range(1, p.num_generators + 1):
+        if old == gen:
+            continue
+        k += 1
+        remap[old] = k
+    rels2 = tuple(tuple((remap[x] if x > 0 else -remap[-x]) for x in rel) for rel in rels)
+    return GroupPresentation(p.num_generators - 1, rels2)
 
 
 def _random_presentation(rng):
@@ -940,7 +995,87 @@ def test_greedy_pass_matches_the_rewriting_reference():
         got = _greedy_pass(start)
         assert got == _reference_greedy_pass(start), p
         moved += bool(got[1])
+        for g, v in islice(_eliminations(start), 2):
+            assert _drop_generator(start, g, v) == _reference_drop_generator(start, g, v), (p, g)
     assert moved > 2000  # most random presentations let the pass eliminate something
+
+
+def _reference_edge_path_presentation(x) -> GroupPresentation:
+    """Edge-path presentation whose breadth-first tree scans every edge for each vertex it dequeues."""
+    t = _as_tset(x)
+    if t.dimension > 2:
+        raise ValidationError("edge-path presentations are for complexes of dimension <= 2")
+    nv = t.count(0)
+    ne = t.count(1)
+    if nv == 0:
+        raise ValidationError("empty complex")
+
+    # edge endpoints: tail = target of deleting slot 1, head = of slot 0
+    tails = [t.attachment(1, e, 1)[0] for e in range(ne)]
+    heads = [t.attachment(1, e, 0)[0] for e in range(ne)]
+
+    # BFS spanning tree from vertex 0, scanning edges by id
+    in_tree = [False] * ne
+    visited = [False] * nv
+    visited[0] = True
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for e in range(ne):
+            if in_tree[e]:
+                continue
+            a, b = tails[e], heads[e]
+            v = b if a == u else (a if b == u else None)
+            if v is not None and not visited[v]:
+                in_tree[e] = True
+                visited[v] = True
+                queue.append(v)
+    if not all(visited):
+        raise ValidationError("edge-path presentation needs a connected complex")
+
+    gen_of_edge: dict[int, int] = {}
+    g = 0
+    for e in range(ne):
+        if not in_tree[e]:
+            g += 1
+            gen_of_edge[e] = g
+
+    def letter(edge: int, forward: bool) -> tuple[int, ...]:
+        if edge not in gen_of_edge:
+            return ()
+        k = gen_of_edge[edge]
+        return (k if forward else -k,)
+
+    relators = []
+    for f in range(t.count(2)):
+        word: tuple[int, ...] = ()
+        # boundary path corner 0 -> 1 -> 2 -> 0; side (a,b) is the face
+        # deleting the third slot, traversed from slot a to slot b
+        for a, b, deleted in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            edge, inj = t.attachment(2, f, deleted)
+            word = word + letter(edge, forward=(inj[a], inj[b]) == (0, 1))
+        relators.append(free_reduce(word))
+    return GroupPresentation(g, tuple(relators))
+
+
+def test_edge_path_presentation_matches_the_edge_scan_reference():
+    # the same tree, generator numbers and relators; disconnected and
+    # three-dimensional complexes are refused with the same message
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    bases = [build() for build in BUILTIN_COMPLEXES.values()]
+    bases += [dual_complex(build()) for build in BUILTIN_SURFACES.values()]
+    bases += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex),
+              _wedge(make_duncehat(), sd_simplex, b_vertex=6), _tetrahedron_with_doubled_face(),
+              _pinched_triangle(), _digon_and_loop()]
+    cases = [_subdivided(x, level) for x in bases for level in (0, 1, 2)]
+    cases += [_solid_tetrahedron()] + _random_2_complexes(17, 600)
+    connected = 0
+    for x in cases:
+        got = _outcome(edge_path_presentation, x)
+        assert got == _outcome(_reference_edge_path_presentation, x), x.counts()
+        connected += isinstance(got, GroupPresentation)
+    assert connected > 300
+    assert _outcome(edge_path_presentation, _pinched_triangle()).endswith("needs a connected complex")
 
 
 def _pinched_triangle():
