@@ -80,7 +80,11 @@ class NCSurfaceDescription:
         return self.strata[2]
 
     def validate(self) -> None:
-        """Branch counts, the dual complex's coherence, and the declared triple counts."""
+        """Branch counts, the dual complex's coherence, and the declared triple counts; checked once per object."""
+        self._validated  # the first access runs the check
+
+    @cached_property
+    def _validated(self) -> bool:
         for k, level in enumerate(self.strata):
             for i, st in enumerate(level):
                 if st.branches != k + 1:
@@ -99,6 +103,7 @@ class NCSurfaceDescription:
                 raise ValidationError(
                     f"double curve {i} declares {dc.triple_count} triple points, continuations give {incidences[i]}"
                 )
+        return True
 
     @cached_property
     def triangulated(self) -> TriangulatedSet:
@@ -555,11 +560,11 @@ def _is_exact(v) -> bool:
 class PicClass:
     """A gluing-data class: edge values modulo the relation torus.
 
-    Values may be exact (int or Fraction, compared exactly) or complex
-    (compared through invariant characters at relative tolerance 1e-9 in
-    log scale).  The stored representative is gauge-fixed so that the
-    first edge at every point and the first edge of every component carry
-    value one where the relations allow.
+    ``values`` holds the raw edge values as given, not a gauge-fixed
+    representative.  Classes are compared through ``char_values``, the
+    invariant characters, which are the complete coset data: exact values
+    (int or Fraction) exactly, complex ones to within ``tol`` (1e-9 by
+    default) of one.
     """
 
     torus: PicTorus

@@ -25,6 +25,7 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .errors import BudgetError, ValidationError
 from .simplicial import SemiSimplicialSet, _as_tset, _Incidence
@@ -161,22 +162,16 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 def lattice_span_index(vectors) -> int:
     """Index of the sublattice spanned by integer vectors; 0 if rank-deficient.
 
-    The index is the product of the elementary divisors of the stacked
+    The index is the product of the invariant factors of the stacked
     matrix, i.e. the absolute determinant when the matrix is square of full
-    rank.
+    rank.  The vectors go to :func:`_rank_and_torsion` as sparse columns:
+    the transpose has the same invariant factors.
     """
     rows = [list(map(int, v)) for v in vectors]
     if not rows:
         raise ValidationError("lattice_span_index needs at least one vector")
-    n = len(rows[0])
-    D, _, _ = smith_normal_form(rows)
-    divisors = [D[i][i] for i in range(min(len(rows), n))]
-    if len([d for d in divisors if d != 0]) < n:
-        return 0
-    idx = 1
-    for d in divisors[:n]:
-        idx *= d
-    return idx
+    rank, torsion = _rank_and_torsion([_column(enumerate(row)) for row in rows])
+    return prod(torsion) if rank == len(rows[0]) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -610,65 +605,48 @@ def presentation(num_generators: int, relators) -> GroupPresentation:
 def edge_path_presentation(x) -> GroupPresentation:
     """Edge-path presentation of the fundamental group of a 2-complex.
 
-    Generators: edges off a breadth-first spanning tree (deterministic, by
-    id).  Relators: boundary words of the 2-cells, read off the slot
-    attachments; a side whose injection reverses the edge contributes the
-    inverse letter.  Requires a connected complex.
+    Generators: edges off a breadth-first spanning tree from vertex 0,
+    numbered by id.  The tree walks the incidence table: vertex u is cell
+    u, and its edges lead its cofaces in id order.  Relators: boundary
+    words of the 2-cells, read off the slot attachments; a side whose
+    injection reverses the edge contributes the inverse letter.  Requires
+    a connected complex.
     """
     t = _as_tset(x)
     if t.dimension > 2:
         raise ValidationError("edge-path presentations are for complexes of dimension <= 2")
-    nv = t.count(0)
-    ne = t.count(1)
+    nv, ne = t.count(0), t.count(1)
     if nv == 0:
         raise ValidationError("empty complex")
 
-    # edge endpoints: tail = target of deleting slot 1, head = of slot 0
-    tails = [t.attachment(1, e, 1)[0] for e in range(ne)]
-    heads = [t.attachment(1, e, 0)[0] for e in range(ne)]
-
-    # BFS spanning tree from vertex 0, scanning edges by id
-    in_tree = [False] * ne
-    visited = [False] * nv
-    visited[0] = True
+    table = t.incidence
+    reached, tree = {0}, set()
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for e in range(ne):
-            if in_tree[e]:
-                continue
-            a, b = tails[e], heads[e]
-            v = b if a == u else (a if b == u else None)
-            if v is not None and not visited[v]:
-                in_tree[e] = True
-                visited[v] = True
-                queue.append(v)
-    if not all(visited):
+        for h, _ in table.cofaces[u]:
+            if h >= nv + ne:
+                break  # the triangles follow the edges
+            for v, _ in table.faces[h]:
+                if v not in reached:
+                    reached.add(v)
+                    tree.add(h - nv)
+                    queue.append(v)
+    if len(reached) < nv:
         raise ValidationError("edge-path presentation needs a connected complex")
 
-    gen_of_edge: dict[int, int] = {}
-    g = 0
-    for e in range(ne):
-        if not in_tree[e]:
-            g += 1
-            gen_of_edge[e] = g
-
-    def letter(edge: int, forward: bool) -> tuple[int, ...]:
-        if edge not in gen_of_edge:
-            return ()
-        k = gen_of_edge[edge]
-        return (k if forward else -k,)
-
+    gen = {e: k for k, e in enumerate((e for e in range(ne) if e not in tree), 1)}
     relators = []
     for f in range(t.count(2)):
-        word: tuple[int, ...] = ()
+        word = []
         # boundary path corner 0 -> 1 -> 2 -> 0; side (a,b) is the face
         # deleting the third slot, traversed from slot a to slot b
         for a, b, deleted in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             edge, inj = t.attachment(2, f, deleted)
-            word = word + letter(edge, forward=(inj[a], inj[b]) == (0, 1))
-        relators.append(free_reduce(word))
-    return GroupPresentation(g, tuple(relators))
+            if edge in gen:
+                word.append(gen[edge] if (inj[a], inj[b]) == (0, 1) else -gen[edge])
+        relators.append(free_reduce(tuple(word)))
+    return GroupPresentation(len(gen), tuple(relators))
 
 
 # ---------------------------------------------------------------------------
@@ -699,20 +677,13 @@ def _substitute(rel: tuple[int, ...], gen: int, value: tuple[int, ...]) -> tuple
 
 def _drop_generator(p: GroupPresentation, gen: int, value: tuple[int, ...]) -> GroupPresentation:
     """Substitute gen := value everywhere, then renumber generators densely."""
-    rels = []
-    for rel in p.relators:
-        w = cyclic_reduce(_substitute(rel, gen, value))
-        if w:
-            rels.append(w)
-    remap = {}
-    k = 0
-    for old in range(1, p.num_generators + 1):
-        if old == gen:
-            continue
-        k += 1
-        remap[old] = k
-    rels2 = tuple(tuple((remap[x] if x > 0 else -remap[-x]) for x in rel) for rel in rels)
-    return GroupPresentation(p.num_generators - 1, rels2)
+    rels = (cyclic_reduce(_substitute(rel, gen, value)) for rel in p.relators)
+    return GroupPresentation(p.num_generators - 1, tuple(_renumbered(w, [gen]) for w in rels if w))
+
+
+def _renumbered(word: tuple[int, ...], gone: list[int]) -> tuple[int, ...]:
+    """The word with each letter's id lowered by the eliminated ids below it; ``gone`` is sorted."""
+    return tuple(x - bisect_left(gone, x) if x > 0 else x + bisect_left(gone, -x) for x in word)
 
 
 def _canonical(p: GroupPresentation):
@@ -760,10 +731,6 @@ def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
     occ = Counter(abs(x) for w in p.relators for x in w)
     gone: list[int] = []
     moves = []
-
-    def now(x: int) -> int:  # the letter's id with the eliminated ids below it taken out
-        return x - bisect_left(gone, x) if x > 0 else -now(-x)
-
     while True:
         best = None
         for w, once in rels:
@@ -775,7 +742,7 @@ def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
             break
         _, w, g = best
         value = _solve_for(w, g)
-        moves.append(("eliminate", now(g), tuple(map(now, value))))
+        moves.append(("eliminate", *_renumbered((g,), gone), _renumbered(value, gone)))
         insort(gone, g)
         kept = []
         for w, once in rels:
@@ -788,7 +755,7 @@ def _greedy_pass(p: GroupPresentation) -> tuple[GroupPresentation, list]:
                 once = _once(w)
             kept.append((w, once))
         rels = kept
-    return GroupPresentation(p.num_generators - len(gone), tuple(tuple(map(now, w)) for w, _ in rels)), moves
+    return GroupPresentation(p.num_generators - len(gone), tuple(_renumbered(w, gone) for w, _ in rels)), moves
 
 
 def _once(word: tuple[int, ...]) -> list[int]:

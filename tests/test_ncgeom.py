@@ -271,6 +271,34 @@ def test_decoration_ranges_refused_at_decode(capsys, tmp_path, level, key, value
     assert ncsurf_from_json(json.dumps(data)).components()[0].chi_normalization == 9
 
 
+def test_one_description_validation_per_surface(monkeypatch):
+    checked = []
+    real = NCSurfaceDescription.__dict__["_validated"].func
+
+    def counting(desc):
+        checked.append(desc)
+        return real(desc)
+
+    prop = cached_property(counting)
+    prop.__set_name__(NCSurfaceDescription, "_validated")
+    monkeypatch.setattr(NCSurfaceDescription, "_validated", prop)
+    for build in (duncehat_surface_description, three_planes_description):
+        desc = build()
+        for _ in range(2):
+            dual_complex(desc)
+            kulikov_report(desc)
+            generic_fiber_euler(desc)
+            desc.validate()
+        assert checked == [desc]
+        checked.clear()
+    # a failed check is not kept: every call raises again
+    bad = NCSurfaceDescription((desc.strata[0],) * 3)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="branches"):
+            bad.validate()
+    assert checked == [bad, bad]
+
+
 def test_one_triangulated_validation_per_surface(monkeypatch):
     text = json.dumps(duncehat_surface_description().to_json_dict())
     validated = []
