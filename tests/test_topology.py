@@ -335,7 +335,7 @@ def test_lattice_span_index_matches_the_dense_smith_product():
     for matrix in cases:
         got = _outcome(lattice_span_index, matrix)
         assert got == _outcome(_reference_lattice_span_index, matrix), matrix
-        full += got not in (0, 1) and isinstance(got, int)
+        full += isinstance(got, int) and got > 1
     assert full > 300  # many cases have a full-rank lattice of index above one
 
 
