@@ -1,5 +1,6 @@
 """Facet encodings, the two functors, simplicity, isomorphism."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -202,6 +203,14 @@ def test_validation_rejects_exactly_what_the_reference_rejects():
         assert accepted != _reference_rejects(s), s
         seen.add((s.dimension, accepted))
     assert seen == {(d, ok) for d in (1, 2, 3) for ok in (True, False)}
+    # a standard injection placed at the wrong slot: the dunce hat's
+    # triangle with the injections of its slots 0 and 1 swapped
+    edge, (tri,) = functor_p(make_duncehat()).attach
+    swapped = TriangulatedSet(1, (edge, (((0, tri[1][1]), (0, tri[0][1]), tri[2]),)))
+    want = "facet (2,0) slot 0 has malformed injection"
+    assert _outcome(_reference_validated, swapped) == ("ValidationError", want)
+    with pytest.raises(ValidationError, match=re.escape(want)):
+        swapped.validate()
 
 
 def test_validation_rejects_incoherent_attachments():
@@ -261,3 +270,150 @@ def test_json_round_trip():
         complex_from_json("{not json")
     with pytest.raises(ValidationError):
         builtin_complex("no-such-thing")
+
+
+# frozen copies of the per-simplex injection building and of the validation
+# that checks every (slot, injection) pair, kept as oracles
+
+
+def _reference_functor_p(s: SemiSimplicialSet) -> TriangulatedSet:
+    """Forget the chosen orderings: simplices become reduced facets.
+
+    Decorated facets of the result are pairs (simplex, ordering), on which
+    the symmetric groups act freely; in the reduced encoding the slots are
+    the vertex positions and each attachment is the order-collapsing
+    injection induced by the face map.  It checks the face-tuple lengths;
+    the result's validation checks the rest of ``s``.
+    """
+    levels = []
+    for d in range(1, s.dimension + 1):
+        facets = []
+        for i, fs in enumerate(s.faces[d - 1]):
+            if len(fs) != d + 1:
+                raise ValidationError(f"simplex ({d},{i}) has {len(fs)} faces, wants {d + 1}")
+            atts = []
+            for k in range(d + 1):
+                inj = tuple(None if j == k else (j if j < k else j - 1) for j in range(d + 1))
+                atts.append((fs[k], inj))
+            facets.append(tuple(atts))
+        levels.append(tuple(facets))
+    t = TriangulatedSet(num_vertices=s.num_vertices, attach=tuple(levels))
+    t.validate()
+    return t
+
+
+def _reference_validated(self) -> bool:
+    if self.num_vertices < 0:
+        raise ValidationError("negative vertex count")
+    for d in range(1, self.dimension + 1):
+        below = self.count(d - 1)
+        for i, atts in enumerate(self.attach[d - 1]):
+            if len(atts) != d + 1:
+                raise ValidationError(f"facet ({d},{i}) has {len(atts)} slots, wants {d + 1}")
+            for k, (g, inj) in enumerate(atts):
+                if not (0 <= g < below):
+                    raise ValidationError(f"facet ({d},{i}) slot {k} references missing target {g}")
+                if len(inj) != d + 1 or inj[k] is not None:
+                    raise ValidationError(f"facet ({d},{i}) slot {k} has malformed injection")
+                values = [inj[j] for j in range(d + 1) if j != k]
+                if sorted(values) != list(range(d)):
+                    raise ValidationError(f"facet ({d},{i}) slot {k} injection is not bijective onto target slots")
+    for d in range(2, self.dimension + 1):
+        for i in range(self.count(d)):
+            for j in range(d + 1):
+                for k in range(d + 1):
+                    if j == k:
+                        continue
+                    g1, inj1 = self.attachment(d, i, j)
+                    h1, kap1 = self.attachment(d - 1, g1, inj1[k])
+                    g2, inj2 = self.attachment(d, i, k)
+                    h2, kap2 = self.attachment(d - 1, g2, inj2[j])
+                    if h1 != h2:
+                        raise ValidationError(f"coherence: facet ({d},{i}) slots {j},{k} reach different facets")
+                    for l in range(d + 1):
+                        if l in (j, k):
+                            continue
+                        if kap1[inj1[l]] != kap2[inj2[l]]:
+                            raise ValidationError(
+                                f"coherence: facet ({d},{i}) slots {j},{k} disagree on slot {l}"
+                            )
+    return True
+
+
+def _outcome(f, *args):
+    """What the call returns, or the name and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as e:  # a malformed injection may also fail to sort
+        return type(e).__name__, str(e)
+
+
+def test_functor_p_matches_the_frozen_injection_building():
+    rng = np.random.default_rng(31)
+    inputs = random_sssets(7, 200) + [_random_face_tuples(rng) for _ in range(1000)]
+    inputs += [builtin_complex(name) for name in ("duncehat", "tetrahedron-boundary", "single-2-simplex", "circle")]
+    inputs += [barycentric_subdivision(barycentric_subdivision(x)) for x in inputs[-4:]]
+    verdicts = set()
+    for s in inputs:
+        want = _outcome(_reference_functor_p, SemiSimplicialSet(s.num_vertices, s.faces))
+        assert _outcome(functor_p, s) == want, s
+        verdicts.add(isinstance(want, TriangulatedSet))
+    assert verdicts == {True, False}
+
+
+def _mutated(t: TriangulatedSet, rng) -> TriangulatedSet:
+    """``t`` with one attachment, one facet's slot list or the vertex count broken at random.
+
+    A new injection is a permutation of the target slots with the hole at
+    a random place (often the wrong one), a standard injection of another
+    slot, one entry too long or short, or one with a second hole.
+    """
+    levels = [list(level) for level in t.attach]
+    d = int(rng.integers(1, t.dimension + 1))
+    if not levels[d - 1] or rng.random() < 0.05:
+        return TriangulatedSet(-1, t.attach)
+    i = int(rng.integers(len(levels[d - 1])))
+    atts = list(levels[d - 1][i])
+    if rng.random() < 0.05:
+        atts = atts[:-1]
+    else:
+        k = int(rng.integers(d + 1))
+        g, inj = atts[k]
+        kind = int(rng.integers(5))
+        if kind == 0:
+            g = int(rng.integers(-1, t.count(d - 1) + 1))
+        elif kind == 1:
+            hole = int(rng.choice((k, int(rng.integers(d + 1)))))
+            values = iter(rng.permutation(d).tolist())
+            inj = tuple(None if j == hole else next(values) for j in range(d + 1))
+        elif kind == 2:
+            other = int(rng.integers(d + 1))
+            inj = tuple(None if j == other else (j if j < other else j - 1) for j in range(d + 1))
+        elif kind == 3:
+            inj = inj + (0,) if rng.random() < 0.5 else inj[:-1]
+        else:
+            inj = tuple(None if j in (k, int(rng.integers(d + 1))) else v for j, v in enumerate(inj))
+        atts[k] = (g, inj)
+    levels[d - 1][i] = tuple(atts)
+    return TriangulatedSet(t.num_vertices, tuple(map(tuple, levels)))
+
+
+def test_validation_matches_the_frozen_pairwise_check():
+    # valid sets (from the forget functor, the cyclic triangle and the
+    # subdivisions) and broken copies of them: the same verdict, the same
+    # first message, and the same exception where an injection fails to sort
+    rng = np.random.default_rng(12)
+    valid = [functor_p(s) for s in random_sssets(3, 100)] + [make_cyclic_triangle()]
+    valid += [functor_p(barycentric_subdivision(x)) for x in (make_duncehat(), make_tetrahedron_boundary())]
+    solid = SemiSimplicialSet(4, make_tetrahedron_boundary().faces + (((3, 2, 1, 0),),))
+    threes = [functor_p(solid), functor_p(barycentric_subdivision(solid))]  # where slot maps can disagree
+    valid += threes
+    kinds = ("negative", "wants", "missing target", "malformed", "not bijective", "reach different", "disagree", "'<'")
+    seen = set()
+    broken = [_mutated(valid[int(rng.integers(len(valid)))], rng) for _ in range(2000)]
+    broken += [_mutated(threes[int(rng.integers(2))], rng) for _ in range(1000)]
+    for t in valid + broken:
+        want = _outcome(_reference_validated, TriangulatedSet(t.num_vertices, t.attach))
+        assert _outcome(t.validate) == (None if want is True else want), t
+        seen.add(want is True or next(k for k in kinds if k in want[1]))
+    assert seen == {True, *kinds}

@@ -1186,3 +1186,83 @@ def test_isomorphism_precheck_skips_clashing_candidates(monkeypatch):
     monkeypatch.setattr(simplicial, "_map_closure", counting)
     assert not isomorphic(cyclic, dunce)
     assert len(walks) <= 150  # 684 walks when every slot bijection of an image is a candidate
+
+
+# frozen copy of the chain-enumerating subdivision, kept as the oracle of
+# the flag-template one: every face tuple must come out the same
+
+
+def _reference_subdivided(t) -> SemiSimplicialSet:
+    """The faces of :func:`barycentric_subdivision` of ``t``, unvalidated."""
+
+    def canon(cell):
+        """Normalize (facet, chain) so the top subset is the full slot set."""
+        (d, i), chain = cell
+        top = chain[-1]
+        if len(top) == d + 1:
+            return (d, i), chain
+        delete = frozenset(range(d + 1)) - top
+        nd, ni, smap = t.delete_slots(d, i, delete)
+        new_chain = tuple(frozenset(smap[s] for s in sub) for sub in chain)
+        return canon(((nd, ni), new_chain))
+
+    # enumerate cells: chains of strictly nested subsets ending at the full set
+    max_len = t.dimension + 1
+    cells_by_len: list[list] = []
+    for ln in range(1, max_len + 1):
+        level = []
+        for d in range(t.dimension + 1):
+            for i in range(t.count(d)):
+                for chain in _reference_full_chains_to(frozenset(range(d + 1)), ln):
+                    level.append(((d, i), chain))
+        cells_by_len.append(sorted(level, key=_reference_cell_sort_key))
+    index = [{c: k for k, c in enumerate(level)} for level in cells_by_len]
+
+    levels = []
+    for ln in range(2, max_len + 1):
+        faces_level = []
+        for cell in cells_by_len[ln - 1]:
+            (d, i), chain = cell
+            fs = []
+            for k in range(ln):
+                sub_chain = chain[:k] + chain[k + 1 :]
+                sub_cell = canon(((d, i), sub_chain))
+                fs.append(index[ln - 2][sub_cell])
+            faces_level.append(tuple(fs))
+        levels.append(tuple(faces_level))
+    return SemiSimplicialSet(num_vertices=len(cells_by_len[0]), faces=tuple(levels))
+
+
+def _reference_cell_sort_key(cell):
+    (d, i), chain = cell
+    return (d, i, tuple(tuple(sorted(s)) for s in chain))
+
+
+def _reference_full_chains_to(top: frozenset, length: int):
+    """Strictly nested subset chains of the given length ending at ``top``."""
+    if length == 1:
+        return [(top,)]
+    out = []
+    for size in range(length - 1, len(top)):
+        for sub in combinations(sorted(top), size):
+            for chain in _reference_full_chains_to(frozenset(sub), length - 1):
+                out.append(chain + (top,))
+    return out
+
+
+def test_subdivision_matches_the_frozen_chain_enumeration():
+    # the builtins and the solid 3-simplex subdivided from sd0, sd1 and sd2,
+    # the wedges and other partners, the surfaces' dual complexes (whose
+    # attachments permute slots) and random 2-complexes with repeated faces
+    sd_simplex = barycentric_subdivision(make_single_2_simplex())
+    inputs = [_subdivided(x, level) for x in [build() for build in BUILTIN_COMPLEXES.values()] + [_solid_tetrahedron()]
+              for level in (0, 1, 2)]
+    inputs += [_wedge(make_duncehat(), make_single_2_simplex()), _wedge(make_duncehat(), sd_simplex),
+               _wedge(make_duncehat(), sd_simplex, b_vertex=6), _tetrahedron_with_doubled_face(),
+               _pinched_triangle(), _digon_and_loop()]
+    inputs += [dual_complex(build()) for build in BUILTIN_SURFACES.values()]
+    inputs += _random_2_complexes(29, 200)
+    for x in inputs:
+        want = _reference_subdivided(_as_tset(x))
+        got = barycentric_subdivision(x)
+        assert (got.num_vertices, got.faces) == (want.num_vertices, want.faces), x.counts()
