@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -169,36 +169,36 @@ class TriangulatedSet:
             raise ValidationError("negative vertex count")
         for d in range(1, self.dimension + 1):
             below = self.count(d - 1)
+            # a (slot, injection) pair's form depends on the pair alone: each distinct one is checked once
+            checked = set(enumerate(_standard_injections(d)))
             for i, atts in enumerate(self.attach[d - 1]):
                 if len(atts) != d + 1:
                     raise ValidationError(f"facet ({d},{i}) has {len(atts)} slots, wants {d + 1}")
                 for k, (g, inj) in enumerate(atts):
                     if not (0 <= g < below):
                         raise ValidationError(f"facet ({d},{i}) slot {k} references missing target {g}")
+                    if (k, inj) in checked:
+                        continue
                     if len(inj) != d + 1 or inj[k] is not None:
                         raise ValidationError(f"facet ({d},{i}) slot {k} has malformed injection")
-                    values = [inj[j] for j in range(d + 1) if j != k]
-                    if sorted(values) != list(range(d)):
+                    if sorted(inj[j] for j in range(d + 1) if j != k) != list(range(d)):
                         raise ValidationError(f"facet ({d},{i}) slot {k} injection is not bijective onto target slots")
+                    checked.add((k, inj))
         for d in range(2, self.dimension + 1):
-            for i in range(self.count(d)):
-                for j in range(d + 1):
-                    for k in range(d + 1):
-                        if j == k:
-                            continue
-                        g1, inj1 = self.attachment(d, i, j)
-                        h1, kap1 = self.attachment(d - 1, g1, inj1[k])
-                        g2, inj2 = self.attachment(d, i, k)
-                        h2, kap2 = self.attachment(d - 1, g2, inj2[j])
-                        if h1 != h2:
-                            raise ValidationError(f"coherence: facet ({d},{i}) slots {j},{k} reach different facets")
-                        for l in range(d + 1):
-                            if l in (j, k):
-                                continue
-                            if kap1[inj1[l]] != kap2[inj2[l]]:
-                                raise ValidationError(
-                                    f"coherence: facet ({d},{i}) slots {j},{k} disagree on slot {l}"
-                                )
+            below = self.attach[d - 2]
+            # slots (k, j) check what (j, k) checked, so j < k suffices
+            pairs = [(j, k, [l for l in range(d + 1) if l not in (j, k)]) for j, k in combinations(range(d + 1), 2)]
+            for i, atts in enumerate(self.attach[d - 1]):
+                for j, k, rest in pairs:
+                    g1, inj1 = atts[j]
+                    g2, inj2 = atts[k]
+                    h1, kap1 = below[g1][inj1[k]]
+                    h2, kap2 = below[g2][inj2[j]]
+                    if h1 != h2:
+                        raise ValidationError(f"coherence: facet ({d},{i}) slots {j},{k} reach different facets")
+                    for l in rest:
+                        if kap1[inj1[l]] != kap2[inj2[l]]:
+                            raise ValidationError(f"coherence: facet ({d},{i}) slots {j},{k} disagree on slot {l}")
         return True
 
     @cached_property
@@ -268,6 +268,14 @@ class _Incidence:
             for f, m in faces[h]:
                 cofaces[f].append((h, m))
         return cls(cells, index, tuple(faces), tuple(map(tuple, cofaces)))
+
+    @cached_property
+    def signatures(self) -> tuple:
+        """Per cell: its dimension and the sorted (dim, multiplicity) pairs of its faces and of
+        its cofaces; isomorphisms keep them, so sets whose sorted signatures differ are not isomorphic."""
+        dims = [d for d, _ in self.cells]
+        return tuple((d, tuple(sorted((dims[f], m) for f, m in down)), tuple(sorted((dims[h], m) for h, m in up)))
+                     for d, down, up in zip(dims, self.faces, self.cofaces))
 
     def counts(self) -> list[int]:
         """The total incidence of every cell from the other cells, all alive."""
@@ -373,6 +381,12 @@ def make_cyclic_triangle() -> TriangulatedSet:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _standard_injections(d: int) -> tuple[tuple, ...]:
+    """The order-collapsing injections of a d-simplex's faces, one per deleted slot, shared by every d-simplex."""
+    return tuple(tuple(None if j == k else (j if j < k else j - 1) for j in range(d + 1)) for k in range(d + 1))
+
+
 def functor_p(s: SemiSimplicialSet) -> TriangulatedSet:
     """Forget the chosen orderings: simplices become reduced facets.
 
@@ -384,15 +398,12 @@ def functor_p(s: SemiSimplicialSet) -> TriangulatedSet:
     """
     levels = []
     for d in range(1, s.dimension + 1):
+        std = _standard_injections(d)
         facets = []
         for i, fs in enumerate(s.faces[d - 1]):
             if len(fs) != d + 1:
                 raise ValidationError(f"simplex ({d},{i}) has {len(fs)} faces, wants {d + 1}")
-            atts = []
-            for k in range(d + 1):
-                inj = tuple(None if j == k else (j if j < k else j - 1) for j in range(d + 1))
-                atts.append((fs[k], inj))
-            facets.append(tuple(atts))
+            facets.append(tuple(zip(fs, std)))
         levels.append(tuple(facets))
     t = TriangulatedSet(num_vertices=s.num_vertices, attach=tuple(levels))
     t.validate()
@@ -525,13 +536,18 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
     Piperno, *Practical graph isomorphism, II*, 2014, without refinement).
     Over a one-slot face, that face's slot bijection generates the
     candidates' slot bijections; over any other, all of them are tried.
+    Differing sorted cell signatures (:attr:`_Incidence.signatures`) refute a
+    pair unsearched, and a candidate image must have the facet's signature.
     """
     t1.validate()
     t2.validate()
     if t1.counts() != t2.counts():
         return False
-    order = _anchored_order(t1.incidence)
-    table2 = t2.incidence
+    table1, table2 = t1.incidence, t2.incidence
+    sig1, sig2 = table1.signatures, table2.signatures
+    if sorted(sig1) != sorted(sig2):
+        return False
+    order = _anchored_order(table1)
     cells2 = table2.cells
     facet_map: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     used: set[tuple[int, int]] = set()
@@ -547,9 +563,8 @@ def isomorphic(t1: TriangulatedSet, t2: TriangulatedSet) -> bool:
                 pool = range(len(cells2))
             else:
                 pool = [h for h, _ in table2.cofaces[table2.index[(anchor[0], facet_map[anchor][0])]]]
-            images = [
-                cells2[h][1] for h in pool if cells2[h][0] == d and not table2.cofaces[h] and cells2[h] not in used
-            ]
+            want = sig1[table1.index[facet]]
+            images = [cells2[h][1] for h in pool if sig2[h] == want and cells2[h] not in used]
             if anchor is not None and anchor[0] == d - 1:
                 # the facet's first slot over the anchor goes to a slot of the image over the anchor's
                 # image, and the anchor's slot bijection fixes the others (listed before k, inj, a change)

@@ -24,7 +24,8 @@ import heapq
 from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 from math import prod
 
 from .errors import BudgetError, ValidationError
@@ -121,6 +122,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     exact arbitrary-precision throughout.
     """
     A = [[int(x) for x in row] for row in matrix]
+    _check_rows(A, "smith_normal_form")
     m = len(A)
     n = len(A[0]) if m else 0
     U, Vt = ([[1 if i == j else 0 for j in range(k)] for i in range(k)] for k in (m, n))
@@ -159,6 +161,12 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return A, U, _transpose(Vt)
 
 
+def _check_rows(rows, what: str) -> None:
+    """Raise unless every row has the length of the first, naming the rows that differ."""
+    if ragged := [i for i, row in enumerate(rows) if len(row) != len(rows[0])]:
+        raise ValidationError(f"{what} got ragged rows: rows {ragged} differ in length from row 0")
+
+
 def lattice_span_index(vectors) -> int:
     """Index of the sublattice spanned by integer vectors; 0 if rank-deficient.
 
@@ -170,6 +178,7 @@ def lattice_span_index(vectors) -> int:
     rows = [list(map(int, v)) for v in vectors]
     if not rows:
         raise ValidationError("lattice_span_index needs at least one vector")
+    _check_rows(rows, "lattice_span_index")
     rank, torsion = _rank_and_torsion([_column(enumerate(row)) for row in rows])
     return prod(torsion) if rank == len(rows[0]) else 0
 
@@ -208,8 +217,9 @@ class IntegerChainComplex:
                     raise ValidationError(f"boundary squared is nonzero in degree {n}")
 
 
+@cache
 def _injection_parity(inj: tuple, deleted: int, dim: int) -> int:
-    """Sign of the injection as a permutation of the target slot order."""
+    """Sign of the injection as a permutation of the target slot order, computed once per distinct argument."""
     images = [inj[j] for j in range(dim + 1) if j != deleted]
     return -1 if sum(a > b for a, b in combinations(images, 2)) % 2 else 1
 
@@ -486,69 +496,64 @@ def barycentric_subdivision(x) -> SemiSimplicialSet:
     Unlike the flag functor, this is a genuine subdivision for non-simple
     complexes as well.
     """
-    # validated once _subdivided's index tables are gone, which the collections
-    # that validation triggers would otherwise promote to the oldest generation
     out = _subdivided(_as_tset(x))
     out.validate()
     return out
 
 
+@cache
+def _flag_template(d: int) -> tuple[list, dict, list]:
+    """The flags of a d-cell, strict chains of slot subsets (bitmasks) ending at the full set.
+
+    ``flags[ln]`` lists those of length ln by their subsets' sorted slot tuples, ``place`` maps a
+    flag to its position, and ``inner[ln][p]`` holds the positions of flag p without its k-th
+    subset, for every k but the top one.
+    """
+    full = (1 << d + 1) - 1
+    flags = [[], [(full,)]]
+    for ln in range(2, d + 2):
+        # prepend each nonempty proper submask of the flag's least subset
+        flags.append([(s,) + c for c in flags[-1] for s in range(1, c[0]) if s & c[0] == s])
+    slots = {m: tuple(b for b in range(d + 1) if m >> b & 1) for m in range(full + 1)}
+    for level in flags:
+        level.sort(key=lambda c: tuple(slots[m] for m in c))
+    place = {c: p for level in flags for p, c in enumerate(level)}
+    inner = [[tuple(place[c[:k] + c[k + 1 :]] for k in range(ln - 1)) for c in level] for ln, level in enumerate(flags)]
+    return flags, place, inner
+
+
 def _subdivided(t) -> SemiSimplicialSet:
-    """The faces of :func:`barycentric_subdivision` of ``t``, unvalidated."""
+    """The faces of :func:`barycentric_subdivision` of ``t``, unvalidated.
 
-    def canon(cell):
-        """Normalize (facet, chain) so the top subset is the full slot set."""
-        (d, i), chain = cell
-        top = chain[-1]
-        if len(top) == d + 1:
-            return (d, i), chain
-        delete = frozenset(range(d + 1)) - top
-        nd, ni, smap = t.delete_slots(d, i, delete)
-        new_chain = tuple(frozenset(smap[s] for s in sub) for sub in chain)
-        return canon(((nd, ni), new_chain))
-
-    # enumerate cells: chains of strictly nested subsets ending at the full set
-    max_len = t.dimension + 1
-    cells_by_len: list[list] = []
-    for ln in range(1, max_len + 1):
-        level = []
-        for d in range(t.dimension + 1):
-            for i in range(t.count(d)):
-                for chain in _full_chains_to(frozenset(range(d + 1)), ln):
-                    level.append(((d, i), chain))
-        cells_by_len.append(sorted(level, key=_cell_sort_key))
-    index = [{c: k for k, c in enumerate(level)} for level in cells_by_len]
-
-    levels = []
-    for ln in range(2, max_len + 1):
-        faces_level = []
-        for cell in cells_by_len[ln - 1]:
-            (d, i), chain = cell
-            fs = []
-            for k in range(ln):
-                sub_chain = chain[:k] + chain[k + 1 :]
-                sub_cell = canon(((d, i), sub_chain))
-                fs.append(index[ln - 2][sub_cell])
-            faces_level.append(tuple(fs))
-        levels.append(tuple(faces_level))
-    return SemiSimplicialSet(num_vertices=len(cells_by_len[0]), faces=tuple(levels))
-
-
-def _cell_sort_key(cell):
-    (d, i), chain = cell
-    return (d, i, tuple(tuple(sorted(s)) for s in chain))
-
-
-def _full_chains_to(top: frozenset, length: int):
-    """Strictly nested subset chains of the given length ending at ``top``."""
-    if length == 1:
-        return [(top,)]
-    out = []
-    for size in range(length - 1, len(top)):
-        for sub in combinations(sorted(top), size):
-            for chain in _full_chains_to(frozenset(sub), length - 1):
-                out.append(chain + (top,))
-    return out
+    The cells of each length are the flags of the d-cells in (d, id, template) order, so an id is
+    an offset plus a template position.  A face drops one subset of the flag: an inner one is a
+    template lookup, and the top one leaves a flag of the face across the new top subset T, read
+    through one ``delete_slots`` per (cell, T).
+    """
+    dim = t.dimension
+    templates = [_flag_template(d) for d in range(dim + 1)]
+    # start[ln][d]: the first id of the length-ln cells over the d-cells
+    start = [list(accumulate((t.count(d) * len(fl[ln]) if ln < len(fl) else 0 for d, (fl, _, _) in enumerate(templates)),
+                             initial=0)) for ln in range(dim + 2)]
+    levels = [[] for _ in range(dim + 2)]
+    for d in range(1, dim + 1):
+        flags, _, inner = templates[d]
+        for i in range(t.count(d)):
+            across = {}
+            for top in range(1, (1 << d + 1) - 1):
+                e, j, smap = t.delete_slots(d, i, frozenset(s for s in range(d + 1) if not top >> s & 1))
+                image = {0: 0}  # every subset of ``top`` on the slots of (e, j)
+                for s, to in smap.items():
+                    image.update({m | 1 << s: v | 1 << to for m, v in image.items()})
+                across[top] = e, j, image
+            for ln in range(2, d + 2):
+                base = start[ln - 1][d] + i * len(flags[ln - 1])
+                for flag, places in zip(flags[ln], inner[ln]):
+                    e, j, image = across[flag[-2]]
+                    e_flags, e_place, _ = templates[e]
+                    last = start[ln - 1][e] + j * len(e_flags[ln - 1]) + e_place[tuple(image[m] for m in flag[:-1])]
+                    levels[ln].append(tuple(base + p for p in places) + (last,))
+    return SemiSimplicialSet(num_vertices=start[1][dim + 1], faces=tuple(map(tuple, levels[2:])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Homology, Smith form, collapsibility, presentations, subdivision."""
 
 import gc
+import re
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -303,6 +304,19 @@ def test_lattice_span_index():
     assert lattice_span_index([(1, 0), (0, 1), (-1, -1)]) == 1
     assert lattice_span_index([(2, 0), (0, 2)]) == 4
     assert lattice_span_index([(1, 1)]) == 0
+
+
+@pytest.mark.parametrize("f, rows, what", [
+    (lattice_span_index, [(2,), (0, 3)], "lattice_span_index"),
+    (lattice_span_index, [(1, 0), (0, 1, 5)], "lattice_span_index"),
+    (lattice_span_index, [(1, 0), (0,), (3, 4), (5, 6, 7)], "lattice_span_index"),
+    (smith_normal_form, [[1, 2], [3]], "smith_normal_form"),
+])
+def test_ragged_rows_are_rejected_by_name(f, rows, what):
+    # these returned 0 and 1, or raised IndexError, before the row lengths were checked
+    ragged = [i for i, row in enumerate(rows) if len(row) != len(rows[0])]
+    with pytest.raises(ValidationError, match=re.escape(f"{what} got ragged rows: rows {ragged} differ")):
+        f(rows)
 
 
 def _reference_lattice_span_index(vectors) -> int:
@@ -1150,11 +1164,18 @@ def _triangles_on_one_edge(*kinds):
     return TriangulatedSet(1, ((((0, (None, 0)), (0, (0, None))),), tris))
 
 
-def test_isomorphism_agrees_with_the_brute_force_oracle():
+def test_isomorphism_agrees_with_the_brute_force_oracle(monkeypatch):
     # complexes of at most 3 cells per dimension, each with copies whose
     # cell ids and slots are relabelled; in the last four a mapped edge fixes
     # where a triangle's slots go, and in the last one only through the
-    # edge's own slot bijection
+    # edge's own slot bijection.  The cycle graph against the digon with a
+    # loop, and the 2-simplex against the pinched triangle, differ in their
+    # sorted cell signatures and must never reach the search; the dunce hat
+    # against the cyclic triangle, and the triangles on one edge, agree in
+    # them and are searched
+    searches = []
+    real = simplicial._anchored_order
+    monkeypatch.setattr(simplicial, "_anchored_order", lambda table: searches.append(table) or real(table))
     rng = np.random.default_rng(24)
     bases = [make_duncehat(), make_cyclic_triangle(), make_cycle_graph(3), make_single_2_simplex(),
              _pinched_triangle(), _digon_and_loop(), _triangles_on_one_edge("dunce", "dunce"),
@@ -1168,10 +1189,32 @@ def test_isomorphism_agrees_with_the_brute_force_oracle():
     for a, b in product(items, repeat=2):
         if a.counts() == b.counts():
             want = _brute_isomorphic(a, b)
+            before = len(searches)
             assert isomorphic(a, b) == want, (a, b)
-            verdicts[want] += 1
+            refuted = sorted(a.incidence.signatures) != sorted(b.incidence.signatures)
+            assert len(searches) == before + (not refuted), (a, b)
+            verdicts[want, refuted] += 1
     # bases of equal counts are never isomorphic: 3 pairs and a triple
-    assert verdicts == Counter({True: 10 * 9, False: (3 * 2 + 3 * 2) * 9})
+    assert verdicts == Counter({(True, False): 10 * 9, (False, False): (1 * 2 + 3 * 2) * 9, (False, True): 2 * 2 * 9})
+
+
+def test_equal_cell_signatures_leave_the_verdict_to_the_search(monkeypatch):
+    # the dunce hat and the cyclic triangle differ only in slot orientation,
+    # so from sd0 to sd2 their sorted cell signatures agree; each is searched
+    # against the other and against relabelled copies of itself
+    searches = []
+    real = simplicial._anchored_order
+    monkeypatch.setattr(simplicial, "_anchored_order", lambda table: searches.append(table) or real(table))
+    rng = np.random.default_rng(3)
+    for level in (0, 1, 2):
+        dunce, cyclic = (_as_tset(_subdivided(x, level)) for x in (make_duncehat(), make_cyclic_triangle()))
+        assert sorted(dunce.incidence.signatures) == sorted(cyclic.incidence.signatures)
+        pairs = [(dunce, cyclic, False), (cyclic, dunce, False)]
+        pairs += [(t, _relabel_slots(_relabel(t, rng), rng), True) for t in (dunce, cyclic)]
+        for a, b, want in pairs:
+            before = len(searches)
+            assert isomorphic(a, b) == want
+            assert len(searches) == before + 1
 
 
 def test_isomorphism_precheck_skips_clashing_candidates(monkeypatch):
